@@ -1,8 +1,6 @@
 //! Parallel-executor hot-path benchmarks (DESIGN.md §3 item 12): the
-//! overhauled executor (lock-free per-pair outboxes + empty-window
-//! fast-forward, `massf_engine::run_parallel`) against the pre-overhaul
-//! baseline (mutex-per-event inboxes, a barrier pair for every window,
-//! `massf_engine::baseline::run_parallel_locked`) on two pure-engine
+//! windowed executor (lock-free per-pair outboxes + empty-window
+//! fast-forward, `massf_engine::run_parallel`) on two pure-engine
 //! workloads:
 //!
 //! * **dense ring** — tokens circulate continuously with hop = window,
@@ -10,20 +8,22 @@
 //!   cost; fast-forward never triggers.
 //! * **sparse bursty** — short hop bursts separated by long idle gaps
 //!   (TCP RTO backoff / fault-epoch quiet periods in miniature). The
-//!   overwhelming majority of windows are empty; the baseline pays two
-//!   barriers for each of them, the overhauled executor jumps.
+//!   overwhelming majority of windows are empty; a fixed-stride design
+//!   would pay two barriers for each of them, the executor jumps.
 //!
-//! Both executors must produce bit-identical results (checked by
-//! `--smoke`, wired into scripts/check.sh); the wall-clock and
-//! barrier-round numbers are recorded in BENCH_engine.json (`--record`
-//! prints that JSON). On a single-core host the wall-clock comparison
-//! mostly measures context-switch pressure, so the recorded acceptance
-//! number there is the executed-barrier-round reduction, which is
-//! hardware-independent.
+//! The executor must be bit-identical to the sequential reference
+//! (checked by `--smoke`, wired into scripts/check.sh). `--record`
+//! prints the wall-clock and barrier-round numbers. BENCH_engine.json
+//! keeps the recorded A/B against the retired pre-overhaul executor
+//! (mutex-per-event inboxes, a barrier pair for every window). The
+//! hardware-independent acceptance number is the executed-barrier-round
+//! reduction against the fixed-stride `2 · window_count()`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use massf_engine::baseline::run_parallel_locked;
-use massf_engine::{run_parallel, run_sequential, Emitter, ExecutionStats, LpId, Model, SimTime};
+use massf_engine::{
+    run_parallel, run_sequential, Emitter, ExecutionStats, LpId, Model, NoopBarrierObserver,
+    ResumeState, SimTime,
+};
 
 /// Ring of LPs passing tokens: each handled event hashes into a per-LP
 /// fingerprint (order-sensitive, so any divergence in per-LP event
@@ -145,39 +145,26 @@ fn merged_fingerprint(shards: &[BurstRing]) -> Vec<u64> {
     out
 }
 
-fn run_new(sc: &Scenario, partitions: usize) -> (Vec<BurstRing>, ExecutionStats) {
+fn run_par(sc: &Scenario, partitions: usize) -> (Vec<BurstRing>, ExecutionStats) {
     let assignment = block_assignment(sc.n, partitions);
-    run_parallel(
+    let (shards, stats, _) = run_parallel(
         sc.shards(partitions),
-        sc.n as usize,
         &assignment,
-        sc.initial(),
+        ResumeState::seeded(sc.initial(), sc.n as usize),
         sc.end,
         sc.window(),
+        &NoopBarrierObserver,
     )
-}
-
-fn run_old(sc: &Scenario, partitions: usize) -> (Vec<BurstRing>, ExecutionStats) {
-    let assignment = block_assignment(sc.n, partitions);
-    run_parallel_locked(
-        sc.shards(partitions),
-        sc.n as usize,
-        &assignment,
-        sc.initial(),
-        sc.end,
-        sc.window(),
-    )
+    .expect("ring hop = window cannot violate lookahead");
+    (shards, stats)
 }
 
 fn bench_scenario(c: &mut Criterion, sc: &Scenario) {
     let mut group = c.benchmark_group(sc.label);
     group.sample_size(10);
     for partitions in [1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("baseline_locked", partitions), |b| {
-            b.iter(|| run_old(sc, partitions).1.total_events)
-        });
         group.bench_function(BenchmarkId::new("overhauled", partitions), |b| {
-            b.iter(|| run_new(sc, partitions).1.total_events)
+            b.iter(|| run_par(sc, partitions).1.total_events)
         });
     }
     group.finish();
@@ -193,70 +180,72 @@ fn bench_sparse(c: &mut Criterion) {
 
 criterion_group!(benches, bench_dense, bench_sparse);
 
-/// Sequential reference for a scenario: same combined model, one heap.
-fn run_seq(sc: &Scenario) -> (BurstRing, ExecutionStats) {
+/// Sequential reference for a scenario: same combined model, one heap,
+/// with the window trace of a `partitions`-way block cut.
+fn run_seq(sc: &Scenario, partitions: usize) -> (BurstRing, ExecutionStats) {
     let mut model = sc.model();
-    let stats = run_sequential(&mut model, sc.n as usize, sc.initial(), sc.end);
+    let assignment = block_assignment(sc.n, partitions);
+    let (stats, _) = run_sequential(
+        &mut model,
+        ResumeState::seeded(sc.initial(), sc.n as usize),
+        sc.end,
+        Some((sc.window(), &assignment, partitions)),
+    )
+    .expect("block cut is a valid trace layout");
     (model, stats)
 }
 
-/// `--smoke`: fast self-checking pass for scripts/check.sh. Asserts the
-/// three-way bit-identity (sequential / baseline / overhauled) on both
-/// scenarios at 1, 2 and 4 partitions, the windowed-stats consistency
-/// invariants, and the ≥5× executed-barrier-round reduction on the
-/// sparse scenario that BENCH_engine.json records.
+/// `--smoke`: fast self-checking pass for scripts/check.sh. Asserts
+/// bit-identity against the sequential reference on both scenarios at
+/// 1, 2 and 4 partitions, windowed stats equal to the traced sequential
+/// run, the windowed-stats consistency invariants, and the ≥5×
+/// executed-barrier-round reduction on the sparse scenario that
+/// BENCH_engine.json records.
 fn run_smoke() {
     for sc in [&DENSE, &SPARSE] {
-        let (seq_model, seq_stats) = run_seq(sc);
         for partitions in [1usize, 2, 4] {
-            let (old_shards, old) = run_old(sc, partitions);
-            let (new_shards, new) = run_new(sc, partitions);
+            let (seq_model, seq) = run_seq(sc, partitions);
+            let (shards, par) = run_par(sc, partitions);
 
             // Bit-identity against the sequential reference.
-            let want = &seq_model.fingerprint;
             assert_eq!(
-                &merged_fingerprint(&old_shards),
-                want,
-                "{} p={partitions}: baseline diverged from sequential",
+                merged_fingerprint(&shards),
+                seq_model.fingerprint,
+                "{} p={partitions}: executor diverged from sequential",
                 sc.label
             );
-            assert_eq!(
-                &merged_fingerprint(&new_shards),
-                want,
-                "{} p={partitions}: overhauled executor diverged from sequential",
-                sc.label
-            );
-            assert_eq!(seq_stats.lp_events, old.lp_events);
-            assert_eq!(seq_stats.lp_events, new.lp_events);
-            assert_eq!(seq_stats.total_events, new.total_events);
+            assert_eq!(seq.lp_events, par.lp_events);
+            assert_eq!(seq.total_events, par.total_events);
 
-            // Baseline and overhauled stats agree field-for-field except
-            // the barrier count.
-            assert_eq!(old.bucket_critical, new.bucket_critical);
-            assert_eq!(old.bucket_totals, new.bucket_totals);
-            assert_eq!(old.partition_totals, new.partition_totals);
-            assert_eq!(old.coarse_trace, new.coarse_trace);
-            assert_eq!(old.windows_executed, new.windows_executed);
-            assert_eq!(old.windows_skipped, new.windows_skipped);
-            assert_eq!(old.window_count(), new.window_count());
+            // Traced sequential and windowed stats agree field for field
+            // (barrier counts exist only in the threaded executor).
+            assert_eq!(seq.bucket_critical, par.bucket_critical);
+            assert_eq!(seq.bucket_totals, par.bucket_totals);
+            assert_eq!(seq.partition_totals, par.partition_totals);
+            assert_eq!(seq.coarse_trace, par.coarse_trace);
+            assert_eq!(seq.windows_executed, par.windows_executed);
+            assert_eq!(seq.windows_skipped, par.windows_skipped);
+            assert_eq!(seq.window_count(), par.window_count());
 
             // Windowed-stats consistency.
-            let by_bucket: u64 = new.bucket_totals.iter().sum();
-            assert_eq!(by_bucket, new.total_events);
+            let by_bucket: u64 = par.bucket_totals.iter().sum();
+            assert_eq!(by_bucket, par.total_events);
             assert_eq!(
-                new.windows_executed + new.windows_skipped,
-                new.window_count() as u64
+                par.windows_executed + par.windows_skipped,
+                par.window_count() as u64
             );
-            assert_eq!(new.barrier_rounds, 1 + 2 * new.windows_executed);
-            assert_eq!(old.barrier_rounds, 2 * old.window_count() as u64);
+            assert_eq!(par.barrier_rounds, 1 + 2 * par.windows_executed);
 
             if sc.label == "sparse_bursty" {
+                // A barrier pair for every window: what a fixed-stride
+                // executor pays.
+                let fixed_stride = 2 * par.window_count() as u64;
                 assert!(
-                    new.barrier_rounds * 5 <= old.barrier_rounds,
+                    par.barrier_rounds * 5 <= fixed_stride,
                     "{} p={partitions}: want ≥5× barrier reduction, got {} vs {}",
                     sc.label,
-                    old.barrier_rounds,
-                    new.barrier_rounds
+                    fixed_stride,
+                    par.barrier_rounds
                 );
             }
         }
@@ -264,8 +253,8 @@ fn run_smoke() {
     println!("engine_hotpath smoke checks passed");
 }
 
-/// `--record`: run both executors once per (scenario, partitions) cell,
-/// timing with wall clock, and print the BENCH_engine.json payload.
+/// `--record`: run the executor once per (scenario, partitions) cell,
+/// timing with wall clock, and print the measurements as JSON.
 fn run_record() {
     use std::time::Instant;
     let time_runs = |f: &dyn Fn() -> u64, reps: usize| -> f64 {
@@ -284,19 +273,16 @@ fn run_record() {
         }
         println!("  \"{}\": {{", sc.label);
         for (j, partitions) in [1usize, 2, 4, 8].into_iter().enumerate() {
-            let (_, old) = run_old(sc, partitions);
-            let (_, new) = run_new(sc, partitions);
-            let old_ms = time_runs(&|| run_old(sc, partitions).1.total_events, 3);
-            let new_ms = time_runs(&|| run_new(sc, partitions).1.total_events, 3);
+            let (_, par) = run_par(sc, partitions);
+            let ms = time_runs(&|| run_par(sc, partitions).1.total_events, 3);
+            let fixed_stride = 2 * par.window_count() as u64;
             println!(
-                "    \"partitions_{partitions}\": {{ \"baseline_ms\": {old_ms:.2}, \
-                 \"overhauled_ms\": {new_ms:.2}, \"baseline_barrier_rounds\": {}, \
+                "    \"partitions_{partitions}\": {{ \"overhauled_ms\": {ms:.2}, \
                  \"overhauled_barrier_rounds\": {}, \"barrier_reduction\": {:.1}, \
                  \"windows_skipped\": {} }}{}",
-                old.barrier_rounds,
-                new.barrier_rounds,
-                old.barrier_rounds as f64 / new.barrier_rounds as f64,
-                new.windows_skipped,
+                par.barrier_rounds,
+                fixed_stride as f64 / par.barrier_rounds as f64,
+                par.windows_skipped,
                 if j < 3 { "," } else { "" }
             );
         }

@@ -9,6 +9,7 @@
 
 use criterion::{criterion_group, Criterion};
 use massf_core::prelude::*;
+use massf_engine::NoopBarrierObserver;
 use massf_netsim::{Agent, NetSimBuilder, NoApp};
 use massf_routing::{CostMetric, FlatResolver};
 use std::sync::Arc;
@@ -65,7 +66,8 @@ fn bench_executors(c: &mut Criterion) {
     });
     group.bench_function("parallel_2threads", |bch| {
         bch.iter(|| {
-            b.run_parallel(NoApp, end, window, &assignment, 2)
+            b.try_run_parallel_observed(NoApp, end, window, &assignment, 2, &NoopBarrierObserver)
+                .expect("window = cut MLL cannot violate lookahead")
                 .stats
                 .total_events
         })
@@ -116,7 +118,9 @@ fn run_smoke() {
         win.profile, seq.profile,
         "windowed profile diverged from sequential"
     );
-    let par = b.run_parallel(NoApp, end, window, &assignment, 2);
+    let par = b
+        .try_run_parallel_observed(NoApp, end, window, &assignment, 2, &NoopBarrierObserver)
+        .expect("window = cut MLL cannot violate lookahead");
     assert_eq!(
         par.stats.total_events, seq.stats.total_events,
         "parallel executor diverged from sequential"

@@ -20,7 +20,7 @@
 //! capped at `FLUID_CONTROL_DELAY`). The full run sustains 1 048 576
 //! concurrent fluid flows.
 
-use massf_engine::{run_sequential, SimTime};
+use massf_engine::{run_sequential, NoopBarrierObserver, ResumeState, SimTime};
 use massf_netsim::packet::segments_for;
 use massf_netsim::world::events_per_roundtrip;
 use massf_netsim::{NetSimBuilder, NetWorld, NoApp, FLUID_CONTROL_DELAY};
@@ -117,7 +117,13 @@ fn main() {
     eprintln!("# probe run to {:.1}s …", cfg.probe.as_secs_f64());
     let n = shared.lp_count();
     let mut probe_world = NetWorld::new(shared.clone(), NoApp);
-    run_sequential(&mut probe_world, n, events.clone(), cfg.probe);
+    run_sequential(
+        &mut probe_world,
+        ResumeState::seeded(events.clone(), n),
+        cfg.probe,
+        None,
+    )
+    .expect("probe run input is well-formed");
     let concurrent = probe_world.fluid_live_flows() as u64;
     eprintln!("# {concurrent} flows live at the probe point");
     if let Err(e) = probe_world.check_fluid_invariants() {
@@ -167,12 +173,13 @@ fn main() {
         // simlint: allow(cast-lossy) -- group index over a bench fixture
         let assignment: Vec<u32> = (0..nodes).map(|i| ((i / 2) as u32) % parts).collect();
         let par = builder
-            .try_run_parallel(
+            .try_run_parallel_observed(
                 NoApp,
                 cfg.end,
                 FLUID_CONTROL_DELAY,
                 &assignment,
                 parts as usize,
+                &NoopBarrierObserver,
             )
             .expect("window equals the fluid control delay, the promised lookahead");
         assert_eq!(

@@ -21,7 +21,7 @@
 //! measures 100k and 1M hosts with 100k flows each.
 
 use massf_bench::alloccount::{self, CountingAlloc};
-use massf_engine::{run_sequential, EventRecord, LpId, SimTime};
+use massf_engine::{run_sequential, EventRecord, LpId, ResumeState, SimTime};
 use massf_netsim::{NetEvent, NetWorld, NoApp, Packet, SharedNet};
 use massf_routing::{CostMetric, FlatResolver};
 use massf_topology::{generate_flat_network, FlatTopologyConfig};
@@ -146,7 +146,13 @@ fn run_config(cfg: &Config, trailing_comma: &str) {
             )
         })
         .collect();
-    let stats = run_sequential(&mut world, nodes, initial, SimTime::from_ms(50));
+    let (stats, _) = run_sequential(
+        &mut world,
+        ResumeState::seeded(initial, nodes),
+        SimTime::from_ms(50),
+        None,
+    )
+    .expect("flow workload is well-formed");
     let flows_bytes = alloccount::live_bytes() - before;
     let live_total = alloccount::live_bytes() - base;
     let peak_total = alloccount::peak_bytes() - base;

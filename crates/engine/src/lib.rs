@@ -15,18 +15,27 @@
 //! * [`Model`] — the event-handling trait implemented by simulation
 //!   models; handlers may touch only their target LP's state, which makes
 //!   sequential and parallel execution bit-identical.
-//! * [`run_sequential`] / [`run_sequential_windowed`] — reference
-//!   executor; the windowed variant additionally attributes events to
-//!   partitions and windows, producing the per-window load traces that
-//!   drive the paper's evaluation metrics.
-//! * [`run_parallel`] / [`try_run_parallel`] — real multi-threaded
-//!   barrier-windowed executor (one thread per partition) with lock-free
-//!   per-pair outbox exchange and empty-window fast-forward; the `try_`
-//!   form returns a structured [`MassfError::LookaheadViolation`]
-//!   instead of panicking, and [`try_run_parallel_observed`] wraps every
-//!   barrier in a [`BarrierObserver`] for bench-side sync-cost
-//!   measurement. The pre-overhaul executor survives as
-//!   [`baseline::run_parallel_locked`] for A/B benchmarking.
+//! * Two executors, one public function each. Both take the run's
+//!   starting [`ResumeState`] and return the executed segment's
+//!   [`ExecutionStats`] plus the frontier it stopped at, so a paused run
+//!   continues on either executor bit-identically.
+//!   - [`run_sequential`] — the reference executor (one global heap).
+//!     Given a `(window, assignment, partitions)` trace layout it also
+//!     attributes events to `(window, partition)` cells, producing the
+//!     per-window load traces that drive the paper's evaluation metrics.
+//!   - [`run_parallel`] — the real multi-threaded barrier-windowed
+//!     executor (one thread per partition) with lock-free per-pair
+//!     outbox exchange and empty-window fast-forward. A
+//!     [`BarrierObserver`] wraps every barrier for bench-side sync-cost
+//!     measurement ([`NoopBarrierObserver`] measures nothing).
+//! * [`ResumeState::seeded`] — the frontier a fresh run starts from: the
+//!   initial events tagged in injection order, all LP counters zero.
+//! * Fallible contract: neither executor panics on bad input. A
+//!   malformed frontier or an inconsistent layout (zero window, no
+//!   partitions, an assignment not covering every LP, an entry naming a
+//!   missing partition) is [`MassfError::InvalidConfig`]; a window above
+//!   the cut's minimum link latency is
+//!   [`MassfError::LookaheadViolation`].
 //! * [`synccost`] — the TeraGrid cluster synchronization-cost model of
 //!   the paper's Figure 5, plus a live barrier-cost measurement.
 //! * [`rebalance`] — the online re-partitioning decision layer: epoch
@@ -44,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod baseline;
 pub mod event;
 pub mod model;
 pub mod par;
@@ -58,14 +66,11 @@ pub mod time;
 pub use arena::{EventArena, EventHandle};
 pub use event::{external_tag, EventRecord, LpId, EXTERNAL_SOURCE};
 pub use massf_topology::MassfError;
-pub use model::{seed_events, Emitter, Model};
-pub use par::{
-    run_parallel, try_run_parallel, try_run_parallel_observed, try_run_parallel_resumable,
-    try_run_parallel_resumable_observed, BarrierObserver, NoopBarrierObserver,
-};
+pub use model::{Emitter, Model};
+pub use par::{run_parallel, BarrierObserver, NoopBarrierObserver};
 pub use rebalance::{partition_loads, should_rebalance, RebalanceConfig, RebalanceCounters};
 pub use resume::ResumeState;
-pub use seq::{run_sequential, run_sequential_resumable, run_sequential_windowed};
+pub use seq::run_sequential;
 pub use stats::{imbalance_permille, ExecutionStats, TRACE_BUCKETS};
 pub use synccost::SyncCostModel;
 pub use time::SimTime;

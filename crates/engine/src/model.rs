@@ -74,8 +74,9 @@ impl<'a, M> Emitter<'a, M> {
 
 /// Tag and collect a batch of externally injected initial events.
 /// They share the reserved external source id and are ordered by their
-/// position in `events`.
-pub fn seed_events<M>(events: Vec<(SimTime, LpId, M)>) -> Vec<EventRecord<M>> {
+/// position in `events`. [`crate::ResumeState::seeded`] builds a run's
+/// starting frontier from them.
+pub(crate) fn seed_events<M>(events: Vec<(SimTime, LpId, M)>) -> Vec<EventRecord<M>> {
     events
         .into_iter()
         .enumerate()

@@ -44,14 +44,10 @@
 //! Statistics are streamed into `TRACE_BUCKETS`-bounded arrays by
 //! partition 0 between the two barriers of each executed window (see
 //! [`crate::stats`]); nothing is sized `O(end_time / window)`.
-//!
-//! The pre-overhaul executor (mutex per cross-partition event, a
-//! barrier pair for every window) is preserved in [`crate::baseline`]
-//! as the A/B comparison target for the `engine_hotpath` bench.
 
 use crate::arena::{EventArena, QueuedEvent};
-use crate::event::{EventRecord, LpId};
-use crate::model::{seed_events, Emitter, Model};
+use crate::event::EventRecord;
+use crate::model::{Emitter, Model};
 use crate::resume::ResumeState;
 use crate::stats::{bucket_layout, ExecutionStats};
 use crate::time::SimTime;
@@ -65,8 +61,8 @@ use std::sync::Barrier;
 /// Hook for measuring wall-clock barrier-wait time from *outside* the
 /// engine. The engine itself never reads host clocks (the simlint
 /// wall-clock gate); the bench crate implements this trait with
-/// `Instant`-based timing and passes it into
-/// [`try_run_parallel_observed`]. The observer is invoked around every
+/// `Instant`-based timing and passes it into [`run_parallel`]. The
+/// observer is invoked around every
 /// `Barrier::wait` — outside the deterministic event path, so it cannot
 /// affect simulation results.
 pub trait BarrierObserver: Sync {
@@ -111,8 +107,7 @@ struct ThreadResult<M: Model> {
     violation: Option<u64>,
     /// `Some` only for partition 0, which performs the reduction.
     windowed: Option<WindowStats>,
-    /// This partition's drained frontier (empty unless the caller asked
-    /// for a resume state), sorted by `(time, tag)`.
+    /// This partition's drained frontier, sorted by `(time, tag)`.
     pending: Vec<EventRecord<M::Event>>,
     /// Per-LP emission counters at exit (only this partition's LPs ever
     /// advanced beyond their restored values).
@@ -122,148 +117,88 @@ struct ThreadResult<M: Model> {
     error: Option<MassfError>,
 }
 
-/// Run `shards[p]` as partition `p`, one thread each, until `end_time`.
+/// Reject a layout either executor would trip over: a zero window,
+/// zero partitions, an assignment not covering exactly `lp_count` LPs,
+/// or an entry naming a partition at or above `partitions`.
+pub(crate) fn check_layout(
+    window: SimTime,
+    assignment: &[u32],
+    lp_count: usize,
+    partitions: usize,
+) -> Result<(), MassfError> {
+    let invalid = |reason: String| Err(MassfError::InvalidConfig(reason));
+    if window == SimTime::ZERO {
+        return invalid("synchronization window must be positive".into());
+    }
+    if partitions == 0 {
+        return invalid("at least one partition is required".into());
+    }
+    if assignment.len() != lp_count {
+        return invalid(format!(
+            "assignment covers {} LPs, the run has {lp_count}",
+            assignment.len()
+        ));
+    }
+    if let Some((lp, p)) = assignment
+        .iter()
+        .enumerate()
+        .find(|&(_, &p)| p as usize >= partitions)
+    {
+        return invalid(format!(
+            "assignment puts LP {lp} on partition {p}, but the run has {partitions}"
+        ));
+    }
+    Ok(())
+}
+
+/// Run `shards[p]` as partition `p`, one thread each, from `start`
+/// until `end_time`, synchronizing every `window`.
 ///
 /// `assignment[lp]` gives each LP's partition; events for LP `l` are
 /// handled by shard `assignment[l]`. Handlers must only touch state of
 /// their target LP (see [`Model`]); under that contract the result is
 /// bit-identical to [`crate::run_sequential`] with an equivalent
-/// combined model.
+/// combined model. `observer` is wrapped around every barrier wait (pass
+/// [`NoopBarrierObserver`] to measure nothing); its
+/// [`BarrierObserver::waits_us`] lands in
+/// [`ExecutionStats::barrier_wait_us`] and is measurement output only —
+/// never feed it back into simulation decisions (simlint D5 flags that
+/// taint flow).
 ///
-/// Returns the shards (with their final state) and merged statistics,
-/// or [`MassfError::LookaheadViolation`] if a model emitted a
-/// cross-partition event with delay smaller than the window. On
-/// violation all partition threads shut down together at the next
-/// barrier and the error reports the earliest offending event.
+/// A fresh run starts from [`ResumeState::seeded`]; the LP count is
+/// `start.counters.len()`. Returns the shards (with their final state),
+/// the executed segment's stats, and the new frontier — merged across
+/// partitions and sorted by `(time, tag)`, so it is thread-count
+/// independent: resuming at 1 or N threads (or chaining any mix of
+/// [`crate::run_sequential`] and this) reproduces the straight-through
+/// run bit for bit.
 ///
-/// # Panics
-/// Panics if `window` is zero or the assignment is inconsistent with
-/// `lp_count` / the shard count (caller bugs, not runtime conditions).
-pub fn try_run_parallel<M: Model>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    initial: Vec<(SimTime, LpId, M::Event)>,
-    end_time: SimTime,
-    window: SimTime,
-) -> Result<(Vec<M>, ExecutionStats), MassfError> {
-    try_run_parallel_observed(
-        shards,
-        lp_count,
-        assignment,
-        initial,
-        end_time,
-        window,
-        &NoopBarrierObserver,
-    )
-}
-
-/// [`try_run_parallel`] with a [`BarrierObserver`] wrapped around every
-/// barrier wait, for wall-clock sync-cost measurement from the bench
-/// layer. `observer.waits_us()` lands in
-/// [`ExecutionStats::barrier_wait_us`].
-#[allow(clippy::too_many_arguments)] // mirrors try_run_parallel + the observer
-pub fn try_run_parallel_observed<M: Model, O: BarrierObserver>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    initial: Vec<(SimTime, LpId, M::Event)>,
-    end_time: SimTime,
-    window: SimTime,
-    observer: &O,
-) -> Result<(Vec<M>, ExecutionStats), MassfError> {
-    let pending = seed_events(initial);
-    let counters = vec![0u32; lp_count];
-    let (shards, stats, _) = run_parallel_core(
-        shards, lp_count, assignment, pending, counters, end_time, window, observer, false,
-    )?;
-    Ok((shards, stats))
-}
-
-/// Continue a paused run from `resume` until `end_time`, in parallel.
-/// Returns the shards, the executed segment's stats, and the new
-/// frontier — merged across partitions and sorted by `(time, tag)`, so
-/// it is thread-count independent: resuming at 1 or N threads (or
-/// chaining any mix of [`crate::seq::run_sequential_resumable`] and
-/// this) reproduces the straight-through run bit for bit.
-///
-/// `resume` is validated first (it may come from a snapshot file);
-/// malformed frontiers yield [`MassfError::InvalidConfig`].
-///
-/// # Panics
-/// Panics on the same caller bugs as [`try_run_parallel`] (zero window,
-/// inconsistent assignment).
+/// # Errors
+/// * [`MassfError::InvalidConfig`] for a malformed `start` (it may come
+///   from a snapshot file) or an inconsistent layout: a zero window, no
+///   shards, an assignment whose length is not the LP count, or an
+///   entry at or above the shard count.
+/// * [`MassfError::LookaheadViolation`] if a model emitted a
+///   cross-partition event with delay smaller than the window. All
+///   partition threads then shut down together at the next barrier and
+///   the error reports the earliest offending event.
 #[allow(clippy::type_complexity)] // (shards, stats, frontier) is the natural segment result
-pub fn try_run_parallel_resumable<M: Model>(
+pub fn run_parallel<M: Model, O: BarrierObserver>(
     shards: Vec<M>,
-    lp_count: usize,
     assignment: &[u32],
-    resume: ResumeState<M::Event>,
-    end_time: SimTime,
-    window: SimTime,
-) -> Result<(Vec<M>, ExecutionStats, ResumeState<M::Event>), MassfError> {
-    try_run_parallel_resumable_observed(
-        shards,
-        lp_count,
-        assignment,
-        resume,
-        end_time,
-        window,
-        &NoopBarrierObserver,
-    )
-}
-
-/// [`try_run_parallel_resumable`] with a [`BarrierObserver`] wrapped
-/// around every barrier wait, so segmented drivers (checkpointing
-/// sessions, the online rebalancer) keep the same wall-clock sync-cost
-/// observability as one-shot [`try_run_parallel_observed`] runs. The
-/// observed waits land in [`ExecutionStats::barrier_wait_us`] and are
-/// measurement output only — never feed them back into simulation
-/// decisions (simlint D5 flags that taint flow).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)] // mirrors the resumable facade + observer
-pub fn try_run_parallel_resumable_observed<M: Model, O: BarrierObserver>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    resume: ResumeState<M::Event>,
+    start: ResumeState<M::Event>,
     end_time: SimTime,
     window: SimTime,
     observer: &O,
 ) -> Result<(Vec<M>, ExecutionStats, ResumeState<M::Event>), MassfError> {
-    resume.validate(lp_count)?;
-    run_parallel_core(
-        shards,
-        lp_count,
-        assignment,
-        resume.events,
-        resume.counters,
-        end_time,
-        window,
-        observer,
-        true,
-    )
-}
-
-#[allow(clippy::too_many_arguments, clippy::type_complexity)] // internal core shared by the public facades
-fn run_parallel_core<M: Model, O: BarrierObserver>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    pending: Vec<EventRecord<M::Event>>,
-    counters_init: Vec<u32>,
-    end_time: SimTime,
-    window: SimTime,
-    observer: &O,
-    collect_resume: bool,
-) -> Result<(Vec<M>, ExecutionStats, ResumeState<M::Event>), MassfError> {
-    assert!(window > SimTime::ZERO, "window must be positive");
-    assert_eq!(assignment.len(), lp_count);
+    let lp_count = start.counters.len();
+    start.validate(lp_count)?;
     let partitions = shards.len();
-    assert!(partitions >= 1);
-    assert!(
-        assignment.iter().all(|&p| (p as usize) < partitions),
-        "assignment references missing partition"
-    );
+    check_layout(window, assignment, lp_count, partitions)?;
+    let ResumeState {
+        events: pending,
+        counters: counters_init,
+    } = start;
 
     let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
     let end_ns = end_time.as_ns();
@@ -492,7 +427,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
                 // this heap holds exactly this partition's share of the
                 // global frontier. Drain in heap order → sorted output.
                 let mut pending = Vec::new();
-                if collect_resume && !poison.load(Ordering::Relaxed) {
+                if !poison.load(Ordering::Relaxed) {
                     pending.reserve(heap.len());
                     while let Some(Reverse(ev)) = heap.pop() {
                         match arena.try_take(ev.handle) {
@@ -557,7 +492,7 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     stats.barrier_wait_us = observer.waits_us();
     let mut shards_out = Vec::with_capacity(partitions);
     let mut resume_events: Vec<EventRecord<M::Event>> = Vec::new();
-    let mut resume_counters = vec![0u32; if collect_resume { lp_count } else { 0 }];
+    let mut resume_counters = vec![0u32; lp_count];
     for r in results {
         for (dst, src) in stats.lp_events.iter_mut().zip(&r.lp_events) {
             *dst += src;
@@ -574,14 +509,12 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
             stats.windows_skipped = n_windows as u64 - ws.windows_executed;
             stats.barrier_rounds = ws.barrier_rounds;
         }
-        if collect_resume {
-            resume_events.extend(r.pending);
-            // Each LP advances only in its owner partition; everywhere
-            // else its counter stays at the restored value, so the
-            // elementwise max reconstructs the global counter vector.
-            for (dst, src) in resume_counters.iter_mut().zip(&r.counters) {
-                *dst = (*dst).max(*src);
-            }
+        resume_events.extend(r.pending);
+        // Each LP advances only in its owner partition; everywhere else
+        // its counter stays at the restored value, so the elementwise
+        // max reconstructs the global counter vector.
+        for (dst, src) in resume_counters.iter_mut().zip(&r.counters) {
+            *dst = (*dst).max(*src);
         }
         shards_out.push(r.shard);
     }
@@ -598,34 +531,32 @@ fn run_parallel_core<M: Model, O: BarrierObserver>(
     ))
 }
 
-/// Panicking facade over [`try_run_parallel`], for callers that treat a
-/// lookahead violation as a caller bug (window chosen above the MLL).
-///
-/// # Panics
-/// Panics if `window` is zero, or with the [`MassfError`] display (a
-/// "lookahead violation: …" message) if a model emits a cross-partition
-/// event with delay smaller than the window.
-pub fn run_parallel<M: Model>(
-    shards: Vec<M>,
-    lp_count: usize,
-    assignment: &[u32],
-    initial: Vec<(SimTime, LpId, M::Event)>,
-    end_time: SimTime,
-    window: SimTime,
-) -> (Vec<M>, ExecutionStats) {
-    match try_run_parallel(shards, lp_count, assignment, initial, end_time, window) {
-        Ok(out) => out,
-        // Deliberate facade: preserves the pre-overhaul panicking contract
-        // for callers that pick the window from the achieved MLL, where a
-        // violation is a programming error.
-        // simlint: allow(unwrap-audit) -- panicking facade over try_run_parallel
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LpId;
+    use crate::seq::tests::run_fresh as run_reference;
+
+    /// A fresh parallel run from `initial` with no barrier observer.
+    fn run_fresh<M: Model>(
+        shards: Vec<M>,
+        lp_count: usize,
+        assignment: &[u32],
+        initial: Vec<(SimTime, LpId, M::Event)>,
+        end_time: SimTime,
+        window: SimTime,
+    ) -> Result<(Vec<M>, ExecutionStats), MassfError> {
+        let start = ResumeState::seeded(initial, lp_count);
+        run_parallel(
+            shards,
+            assignment,
+            start,
+            end_time,
+            window,
+            &NoopBarrierObserver,
+        )
+        .map(|(shards, stats, _)| (shards, stats))
+    }
 
     /// Token ring over n LPs with 1 ms hops; each shard records visits to
     /// its own LPs (handlers touch only target-LP state).
@@ -667,22 +598,24 @@ mod tests {
             hop,
             visits: vec![],
         };
-        let seq_stats = crate::run_sequential(
+        let seq_stats = run_reference(
             &mut seq_model,
             n as usize,
             vec![(SimTime::ZERO, LpId(0), 0)],
             end,
+            None,
         );
 
         // Parallel, window = hop latency (the MLL).
-        let (shards, par_stats) = run_parallel(
+        let (shards, par_stats) = run_fresh(
             ring_shards(n, 3, hop),
             n as usize,
             &assignment,
             vec![(SimTime::ZERO, LpId(0), 0)],
             end,
             hop,
-        );
+        )
+        .expect("window = hop cannot violate lookahead");
 
         assert_eq!(seq_stats.total_events, par_stats.total_events);
         assert_eq!(seq_stats.lp_events, par_stats.lp_events);
@@ -703,39 +636,37 @@ mod tests {
             hop,
             visits: vec![],
         };
-        let seq_stats = crate::run_sequential(
+        let seq_stats = run_reference(
             &mut seq_model,
             n as usize,
             vec![(SimTime::ZERO, LpId(0), 0)],
             end,
+            None,
         );
 
         // Segment 1: 3 partitions to 24 ms. Segment 2: resume the merged
         // frontier on 2 partitions with a different assignment — the
         // frontier is layout-agnostic, so the chain must still equal the
         // sequential run bit for bit.
-        let start = ResumeState {
-            events: seed_events(vec![(SimTime::ZERO, LpId(0), 0)]),
-            counters: vec![0; n as usize],
-        };
-        let (shards1, s1, mid) = try_run_parallel_resumable(
+        let start = ResumeState::seeded(vec![(SimTime::ZERO, LpId(0), 0)], n as usize);
+        let (shards1, s1, mid) = run_parallel(
             ring_shards(n, 3, hop),
-            n as usize,
             &[0, 0, 1, 1, 2, 2],
             start,
             SimTime::from_ms(24),
             hop,
+            &NoopBarrierObserver,
         )
-        .expect("no violation");
-        let (shards2, s2, fin) = try_run_parallel_resumable(
+        .expect("segment 1: window = hop cannot violate lookahead");
+        let (shards2, s2, fin) = run_parallel(
             ring_shards(n, 2, hop),
-            n as usize,
             &[0, 1, 0, 1, 0, 1],
             mid,
             end,
             hop,
+            &NoopBarrierObserver,
         )
-        .expect("no violation");
+        .expect("segment 2: window = hop cannot violate lookahead");
 
         let mut merged: Vec<(u32, u64)> = shards1
             .into_iter()
@@ -757,14 +688,15 @@ mod tests {
     fn window_counts_cover_all_events() {
         let n = 4u32;
         let hop = SimTime::from_ms(1);
-        let (_, stats) = run_parallel(
+        let (_, stats) = run_fresh(
             ring_shards(n, 2, hop),
             n as usize,
             &[0, 0, 1, 1],
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(10),
             hop,
-        );
+        )
+        .expect("window = hop cannot violate lookahead");
         let counted: u64 = stats.bucket_totals.iter().sum();
         assert_eq!(counted, stats.total_events);
         let by_partition: u64 = stats.partition_totals.iter().sum();
@@ -786,31 +718,32 @@ mod tests {
             hop,
             visits: vec![],
         };
-        crate::run_sequential(
+        run_reference(
             &mut seq_model,
             n as usize,
             vec![(SimTime::ZERO, LpId(2), 0)],
             SimTime::from_ms(20),
+            None,
         );
-        let (shards, _) = run_parallel(
+        let (shards, _) = run_fresh(
             ring_shards(n, 1, hop),
             n as usize,
             &[0, 0, 0, 0, 0],
             vec![(SimTime::ZERO, LpId(2), 0)],
             SimTime::from_ms(20),
             SimTime::from_ms(7), // window larger than hop is fine for 1 partition
-        );
+        )
+        .expect("one partition has no cross-partition events");
         assert_eq!(shards[0].visits, seq_model.visits);
     }
 
     #[test]
-    #[should_panic(expected = "lookahead violation")]
     fn lookahead_violation_detected() {
         // Hop of 1 ms but window of 2 ms: cross-partition events land
         // inside the current window.
         let n = 2u32;
         let hop = SimTime::from_ms(1);
-        run_parallel(
+        let out = run_fresh(
             ring_shards(n, 2, hop),
             n as usize,
             &[0, 1],
@@ -818,13 +751,65 @@ mod tests {
             SimTime::from_ms(10),
             SimTime::from_ms(2),
         );
+        assert!(
+            matches!(out, Err(MassfError::LookaheadViolation { .. })),
+            "expected a lookahead violation, got {:?}",
+            out.map(|(_, stats)| stats.total_events)
+        );
+    }
+
+    /// Inconsistent layouts are structured errors in both executors —
+    /// checked up front, before any thread starts or any event runs.
+    #[test]
+    fn bad_layouts_are_invalid_config_in_both_executors() {
+        let ms = SimTime::from_ms;
+        // (case, window, assignment, shard / trace partition count)
+        let cases: [(&str, SimTime, &[u32], usize); 4] = [
+            ("zero window", SimTime::ZERO, &[0, 1], 2),
+            ("short assignment", ms(1), &[0], 2),
+            ("entry >= shard count", ms(1), &[0, 2], 2),
+            ("zero shards", ms(1), &[0, 0], 0),
+        ];
+        let initial = || vec![(SimTime::ZERO, LpId(0), 0u8)];
+        for (case, window, assignment, partitions) in cases {
+            let par = run_fresh(
+                ring_shards(2, partitions, ms(1)),
+                2,
+                assignment,
+                initial(),
+                ms(10),
+                window,
+            );
+            assert!(
+                matches!(par, Err(MassfError::InvalidConfig(_))),
+                "run_parallel, {case}: got {:?}",
+                par.map(|(_, stats)| stats.total_events)
+            );
+            let mut model = RingShard {
+                n: 2,
+                hop: ms(1),
+                visits: vec![],
+            };
+            let seq = crate::run_sequential(
+                &mut model,
+                ResumeState::seeded(initial(), 2),
+                ms(10),
+                Some((window, assignment, partitions)),
+            );
+            assert!(
+                matches!(seq, Err(MassfError::InvalidConfig(_))),
+                "run_sequential trace, {case}: got {:?}",
+                seq.map(|(stats, _)| stats.total_events)
+            );
+            assert!(model.visits.is_empty(), "{case}: no event may run");
+        }
     }
 
     #[test]
     fn lookahead_violation_is_structured_and_earliest() {
         let n = 2u32;
         let hop = SimTime::from_ms(1);
-        let err = try_run_parallel(
+        let err = run_fresh(
             ring_shards(n, 2, hop),
             n as usize,
             &[0, 1],
@@ -850,14 +835,15 @@ mod tests {
     fn events_beyond_end_time_not_processed() {
         let n = 2u32;
         let hop = SimTime::from_ms(3);
-        let (_, stats) = run_parallel(
+        let (_, stats) = run_fresh(
             ring_shards(n, 2, hop),
             n as usize,
             &[0, 1],
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(7),
             hop,
-        );
+        )
+        .expect("window = hop cannot violate lookahead");
         // Events at t=0,3,6 run; t=9 is beyond end.
         assert_eq!(stats.total_events, 3);
     }
@@ -894,7 +880,7 @@ mod tests {
             gap,
             visits: vec![],
         };
-        let seq_stats = crate::run_sequential(&mut seq, 2, init.clone(), end);
+        let seq_stats = run_reference(&mut seq, 2, init.clone(), end, None);
 
         let shards = (0..2)
             .map(|_| BurstShard {
@@ -902,7 +888,8 @@ mod tests {
                 visits: vec![],
             })
             .collect();
-        let (shards, stats) = run_parallel(shards, 2, &[0, 1], init, end, window);
+        let (shards, stats) = run_fresh(shards, 2, &[0, 1], init, end, window)
+            .expect("1 ms hops in 1 ms windows cannot violate lookahead");
 
         let mut merged: Vec<(u32, u64)> = shards.into_iter().flat_map(|s| s.visits).collect();
         merged.sort_by_key(|&(_, t)| t);
@@ -925,14 +912,15 @@ mod tests {
 
     #[test]
     fn empty_initial_events_fast_forwards_to_exit() {
-        let (_, stats) = run_parallel(
+        let (_, stats) = run_fresh(
             ring_shards(2, 2, SimTime::from_ms(1)),
             2,
             &[0, 1],
             vec![],
             SimTime::from_secs(10),
             SimTime::from_ms(1),
-        );
+        )
+        .expect("an empty run cannot violate lookahead");
         assert_eq!(stats.total_events, 0);
         assert_eq!(stats.windows_executed, 0);
         assert_eq!(stats.windows_skipped, 10_000);
@@ -963,16 +951,15 @@ mod tests {
             begins: Counter::new(0),
             ends: Counter::new(0),
         };
-        let (_, stats) = try_run_parallel_observed(
+        let (_, stats, _) = run_parallel(
             ring_shards(4, 2, SimTime::from_ms(1)),
-            4,
             &[0, 0, 1, 1],
-            vec![(SimTime::ZERO, LpId(0), 0)],
+            ResumeState::seeded(vec![(SimTime::ZERO, LpId(0), 0)], 4),
             SimTime::from_ms(10),
             SimTime::from_ms(1),
             &obs,
         )
-        .expect("no violation");
+        .expect("window = hop cannot violate lookahead");
         let expected = stats.barrier_rounds * 2; // 2 partitions per round
         assert_eq!(obs.begins.load(Ordering::Relaxed), expected);
         assert_eq!(obs.ends.load(Ordering::Relaxed), expected);

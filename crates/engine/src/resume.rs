@@ -16,7 +16,8 @@
 //! executors reject malformed frontiers with structured errors instead
 //! of panicking or silently diverging.
 
-use crate::event::{split_tag, EventRecord, EXTERNAL_SOURCE};
+use crate::event::{split_tag, EventRecord, LpId, EXTERNAL_SOURCE};
+use crate::model::seed_events;
 use crate::time::SimTime;
 use massf_topology::MassfError;
 
@@ -31,11 +32,16 @@ pub struct ResumeState<M> {
 }
 
 impl<M> ResumeState<M> {
-    /// The state of a run that has not started: no pending events, all
-    /// counters zero.
-    pub fn fresh(lp_count: usize) -> Self {
+    /// The state of a run that starts from `initial` `(time, target,
+    /// payload)` events over `lp_count` LPs. The events are tagged in
+    /// injection order (ties at equal times run in that order) and then
+    /// sorted into the frontier's `(time, tag)` order.
+    pub fn seeded(initial: Vec<(SimTime, LpId, M)>, lp_count: usize) -> Self {
+        let mut events = seed_events(initial);
+        // External tags are positional, so the sort is deterministic.
+        events.sort_unstable();
         ResumeState {
-            events: Vec::new(),
+            events,
             counters: vec![0; lp_count],
         }
     }
@@ -115,12 +121,12 @@ mod tests {
 
     #[test]
     fn fresh_state_is_valid() {
-        assert_eq!(ResumeState::<u8>::fresh(3).validate(3), Ok(()));
+        assert_eq!(ResumeState::<u8>::seeded(vec![], 3).validate(3), Ok(()));
     }
 
     #[test]
     fn next_event_time_reads_the_sorted_head() {
-        let mut s = ResumeState::<u8>::fresh(2);
+        let mut s = ResumeState::<u8>::seeded(vec![], 2);
         assert_eq!(s.next_event_time(), None);
         s.events = vec![rec(5, external_tag(0), 0), rec(9, external_tag(1), 1)];
         assert_eq!(s.next_event_time(), Some(SimTime::from_ns(5)));
@@ -128,20 +134,20 @@ mod tests {
 
     #[test]
     fn counter_length_mismatch_rejected() {
-        let s = ResumeState::<u8>::fresh(3);
+        let s = ResumeState::<u8>::seeded(vec![], 3);
         assert!(matches!(s.validate(4), Err(MassfError::InvalidConfig(_))));
     }
 
     #[test]
     fn unknown_target_rejected() {
-        let mut s = ResumeState::fresh(2);
+        let mut s = ResumeState::<u8>::seeded(vec![], 2);
         s.events.push(rec(1, external_tag(0), 7));
         assert!(s.validate(2).is_err());
     }
 
     #[test]
     fn unsorted_and_duplicate_keys_rejected() {
-        let mut s = ResumeState::fresh(2);
+        let mut s = ResumeState::<u8>::seeded(vec![], 2);
         s.events = vec![rec(5, external_tag(1), 0), rec(1, external_tag(0), 1)];
         assert!(s.validate(2).is_err());
         s.events = vec![rec(5, external_tag(1), 0), rec(5, external_tag(1), 1)];
@@ -150,7 +156,7 @@ mod tests {
 
     #[test]
     fn tag_counter_must_be_issued() {
-        let mut s = ResumeState::fresh(2);
+        let mut s = ResumeState::<u8>::seeded(vec![], 2);
         // Source LP 1 claims counter 3 but has only issued 2 tags.
         s.counters = vec![0, 2];
         s.events = vec![rec(9, (1u64 << 32) | 3, 0)];

@@ -1,15 +1,15 @@
-//! Sequential executors.
+//! The sequential reference executor.
 //!
-//! [`run_sequential`] is the reference executor (one global heap).
-//! [`run_sequential_windowed`] processes the same global order but
-//! additionally attributes every event to a `(window, partition)` cell,
-//! producing the trace the cluster performance model consumes. Because
-//! window boundaries never change event order, both produce identical
-//! model states.
+//! [`run_sequential`] processes every event in one global `(time, tag)`
+//! order. Given a trace layout it also attributes every event to a
+//! `(window, partition)` cell, producing the load trace the cluster
+//! performance model consumes. Window boundaries never change event
+//! order, so traced and untraced runs produce identical model states.
 
 use crate::arena::{EventArena, QueuedEvent};
-use crate::event::{EventRecord, LpId};
-use crate::model::{seed_events, Emitter, Model};
+use crate::event::EventRecord;
+use crate::model::{Emitter, Model};
+use crate::par::check_layout;
 use crate::resume::ResumeState;
 use crate::stats::{ExecutionStats, WindowAccumulator};
 use crate::time::SimTime;
@@ -17,96 +17,42 @@ use massf_topology::MassfError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Run `model` until `end_time` (exclusive), starting from `initial`
-/// `(time, target, payload)` events. Returns per-LP statistics.
+/// Run `model` from `start` until `end_time` (exclusive), returning the
+/// executed segment's per-LP statistics and the new frontier: the
+/// events pending at `end_time` plus the advanced LP counters.
+///
+/// A fresh run starts from [`ResumeState::seeded`]; a frontier returned
+/// by either executor continues its run, and chaining segments is
+/// bit-identical to one straight-through run because the frontier
+/// preserves every `(time, tag)` ordering key. The LP count is
+/// `start.counters.len()`.
+///
+/// `trace = Some((window, assignment, partitions))` additionally counts
+/// events per `(window, partition)` cell, with `assignment[lp]` giving
+/// each LP's partition.
+///
+/// # Errors
+/// [`MassfError::InvalidConfig`] for a malformed `start` (it may come
+/// from a snapshot file) or an inconsistent trace layout: a zero window,
+/// zero partitions, an assignment whose length is not the LP count, or
+/// an entry at or above `partitions`.
+#[allow(clippy::type_complexity)] // (stats, frontier) pair is the natural segment result
 pub fn run_sequential<M: Model>(
     model: &mut M,
-    lp_count: usize,
-    initial: Vec<(SimTime, LpId, M::Event)>,
+    start: ResumeState<M::Event>,
     end_time: SimTime,
-) -> ExecutionStats {
-    run_inner(model, lp_count, initial, end_time, None)
-}
-
-/// Like [`run_sequential`], but also count events per `(window,
-/// partition)` given the LP→partition `assignment` and the window length.
-///
-/// # Panics
-/// Panics if `window` is zero or `assignment.len() != lp_count`.
-pub fn run_sequential_windowed<M: Model>(
-    model: &mut M,
-    lp_count: usize,
-    initial: Vec<(SimTime, LpId, M::Event)>,
-    end_time: SimTime,
-    window: SimTime,
-    assignment: &[u32],
-    partitions: usize,
-) -> ExecutionStats {
-    assert!(window > SimTime::ZERO, "window must be positive");
-    assert_eq!(assignment.len(), lp_count);
-    run_inner(
-        model,
-        lp_count,
-        initial,
-        end_time,
-        Some((window, assignment, partitions)),
-    )
-}
-
-/// Continue a paused sequential run from `resume` until `end_time`,
-/// returning the stats of the executed segment and the new frontier
-/// (pending events at `end_time` plus advanced LP counters). Seeding a
-/// [`ResumeState::fresh`] frontier whose events came through
-/// [`seed_events`] is exactly [`run_sequential`]; chaining segments is
-/// bit-identical to one straight-through run because the frontier
-/// preserves every `(time, tag)` ordering key.
-///
-/// `resume` is validated first (it may come from a snapshot file):
-/// malformed frontiers yield [`MassfError::InvalidConfig`], never a
-/// panic.
-#[allow(clippy::type_complexity)] // (stats, frontier) pair is the natural segment result
-pub fn run_sequential_resumable<M: Model>(
-    model: &mut M,
-    lp_count: usize,
-    resume: ResumeState<M::Event>,
-    end_time: SimTime,
+    trace: Option<(SimTime, &[u32], usize)>,
 ) -> Result<(ExecutionStats, ResumeState<M::Event>), MassfError> {
-    resume.validate(lp_count)?;
-    Ok(run_core(
-        model,
-        lp_count,
-        resume.events,
-        resume.counters,
-        end_time,
-        None,
-        true,
-    ))
-}
+    let lp_count = start.counters.len();
+    start.validate(lp_count)?;
+    if let Some((window, assignment, partitions)) = trace {
+        check_layout(window, assignment, lp_count, partitions)?;
+    }
+    let ResumeState {
+        events: pending,
+        mut counters,
+    } = start;
 
-fn run_inner<M: Model>(
-    model: &mut M,
-    lp_count: usize,
-    initial: Vec<(SimTime, LpId, M::Event)>,
-    end_time: SimTime,
-    windowed: Option<(SimTime, &[u32], usize)>,
-) -> ExecutionStats {
-    let pending = seed_events(initial);
-    let counters = vec![0u32; lp_count];
-    run_core(
-        model, lp_count, pending, counters, end_time, windowed, false,
-    )
-    .0
-}
-
-fn run_core<M: Model>(
-    model: &mut M,
-    lp_count: usize,
-    pending: Vec<EventRecord<M::Event>>,
-    mut counters: Vec<u32>,
-    end_time: SimTime,
-    windowed: Option<(SimTime, &[u32], usize)>,
-    collect_resume: bool,
-) -> (ExecutionStats, ResumeState<M::Event>) {
     let mut stats = ExecutionStats::new(lp_count);
     // Payloads live in the arena; the heap orders 32-byte handles. Slots
     // recycle as events execute, so the steady-state loop is
@@ -118,7 +64,7 @@ fn run_core<M: Model>(
     }
     let mut out_buf: Vec<EventRecord<M::Event>> = Vec::new();
 
-    let mut acc = windowed.map(|(window, _, partitions)| {
+    let mut acc = trace.map(|(window, _, partitions)| {
         let n_windows = end_time.as_ns().div_ceil(window.as_ns()) as usize;
         WindowAccumulator::new(partitions, n_windows)
     });
@@ -139,7 +85,7 @@ fn run_core<M: Model>(
         }
         stats.lp_events[lp.index()] += 1;
         stats.total_events += 1;
-        if let (Some(acc), Some((window, assignment, _))) = (acc.as_mut(), windowed) {
+        if let (Some(acc), Some((window, assignment, _))) = (acc.as_mut(), trace) {
             let w = (ev.time.as_ns() / window.as_ns()) as usize;
             let p = assignment[lp.index()] as usize;
             acc.record(w, p);
@@ -149,31 +95,42 @@ fn run_core<M: Model>(
             heap.push(Reverse(arena.enqueue(new_ev)));
         }
     }
-    if let (Some(acc), Some((window, _, _))) = (acc, windowed) {
+    if let (Some(acc), Some((window, _, _))) = (acc, trace) {
         acc.finish(window, &mut stats);
     }
     stats.end_time = end_time;
 
     // Drain the frontier in heap order (ascending `(time, tag)`), so the
     // returned events are sorted by construction.
-    let mut events = Vec::new();
-    if collect_resume {
-        events.reserve(heap.len());
-        while let Some(Reverse(ev)) = heap.pop() {
-            events.push(EventRecord {
-                time: ev.time,
-                target: ev.target,
-                tag: ev.tag,
-                payload: arena.take(ev.handle),
-            });
-        }
+    let mut events = Vec::with_capacity(heap.len());
+    while let Some(Reverse(ev)) = heap.pop() {
+        events.push(EventRecord {
+            time: ev.time,
+            target: ev.target,
+            tag: ev.tag,
+            payload: arena.take(ev.handle),
+        });
     }
-    (stats, ResumeState { events, counters })
+    Ok((stats, ResumeState { events, counters }))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::event::LpId;
+
+    /// A fresh run of `model` over `lp_count` LPs seeded with `initial`.
+    pub(crate) fn run_fresh<M: Model>(
+        model: &mut M,
+        lp_count: usize,
+        initial: Vec<(SimTime, LpId, M::Event)>,
+        end: SimTime,
+        trace: Option<(SimTime, &[u32], usize)>,
+    ) -> ExecutionStats {
+        run_sequential(model, ResumeState::seeded(initial, lp_count), end, trace)
+            .expect("well-formed test run")
+            .0
+    }
 
     /// Each LP forwards a token to the next LP after 1 ms, recording the
     /// visit order.
@@ -196,11 +153,12 @@ mod tests {
             n: 4,
             visits: vec![],
         };
-        let stats = run_sequential(
+        let stats = run_fresh(
             &mut m,
             4,
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(10),
+            None,
         );
         assert_eq!(m.visits, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
         assert_eq!(stats.total_events, 10);
@@ -213,11 +171,12 @@ mod tests {
             n: 2,
             visits: vec![],
         };
-        let stats = run_sequential(
+        let stats = run_fresh(
             &mut m,
             2,
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(1),
+            None,
         );
         // Only the event at t=0 runs; the one at exactly 1 ms is excluded.
         assert_eq!(stats.total_events, 1);
@@ -233,7 +192,7 @@ mod tests {
             }
         }
         let mut m = Recorder(vec![]);
-        run_sequential(
+        run_fresh(
             &mut m,
             3,
             vec![
@@ -242,6 +201,7 @@ mod tests {
                 (SimTime::from_ms(1), LpId(1), ()),
             ],
             SimTime::from_ms(2),
+            None,
         );
         assert_eq!(m.0, vec![2, 0, 1], "ties broken by injection order");
     }
@@ -252,29 +212,26 @@ mod tests {
             n: 4,
             visits: vec![],
         };
-        let full_stats = run_sequential(
+        let full_stats = run_fresh(
             &mut full,
             4,
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(10),
+            None,
         );
 
         let mut split = Ring {
             n: 4,
             visits: vec![],
         };
-        let start = ResumeState {
-            events: seed_events(vec![(SimTime::ZERO, LpId(0), 0)]),
-            counters: vec![0; 4],
-        };
+        let start = ResumeState::seeded(vec![(SimTime::ZERO, LpId(0), 0)], 4);
         let (s1, mid) =
-            run_sequential_resumable(&mut split, 4, start, SimTime::from_ms(5)).expect("valid");
+            run_sequential(&mut split, start, SimTime::from_ms(5), None).expect("valid");
         // The event scheduled at exactly the cut time must sit in the
         // frontier, unexecuted (end_time is exclusive).
         assert_eq!(mid.events.len(), 1);
         assert_eq!(mid.events[0].time, SimTime::from_ms(5));
-        let (s2, fin) =
-            run_sequential_resumable(&mut split, 4, mid, SimTime::from_ms(10)).expect("valid");
+        let (s2, fin) = run_sequential(&mut split, mid, SimTime::from_ms(10), None).expect("valid");
         assert_eq!(split.visits, full.visits, "chained segments = one run");
         assert_eq!(s1.total_events + s2.total_events, full_stats.total_events);
         assert_eq!(fin.events.len(), 1, "next hop stays pending at the end");
@@ -286,11 +243,9 @@ mod tests {
             n: 2,
             visits: vec![],
         };
-        let bad = ResumeState::<u8> {
-            events: vec![],
-            counters: vec![0; 3], // wrong LP count
-        };
-        assert!(run_sequential_resumable(&mut m, 2, bad, SimTime::from_ms(1)).is_err());
+        // An event for LP 5 in a 3-LP frontier.
+        let bad = ResumeState::seeded(vec![(SimTime::ZERO, LpId(5), 0)], 3);
+        assert!(run_sequential(&mut m, bad, SimTime::from_ms(1), None).is_err());
     }
 
     #[test]
@@ -301,14 +256,12 @@ mod tests {
         };
         // LP0 -> partition 0, LP1 -> partition 1; 1 ms window; events at
         // t=0(LP0),1(LP1),2(LP0),3(LP1) within end=4ms.
-        let stats = run_sequential_windowed(
+        let stats = run_fresh(
             &mut m,
             2,
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_ms(4),
-            SimTime::from_ms(1),
-            &[0, 1],
-            2,
+            Some((SimTime::from_ms(1), &[0, 1], 2)),
         );
         assert_eq!(stats.window_count(), 4);
         // 4 windows at 1 window per bucket: buckets mirror windows.
@@ -334,15 +287,13 @@ mod tests {
             (SimTime::ZERO, LpId(0), 0u8),
             (SimTime::from_ms(2), LpId(3), 0u8),
         ];
-        run_sequential(&mut a, 5, init.clone(), SimTime::from_ms(20));
-        run_sequential_windowed(
+        run_fresh(&mut a, 5, init.clone(), SimTime::from_ms(20), None);
+        run_fresh(
             &mut b,
             5,
             init,
             SimTime::from_ms(20),
-            SimTime::from_ms(3),
-            &[0, 0, 1, 1, 1],
-            2,
+            Some((SimTime::from_ms(3), &[0, 0, 1, 1, 1], 2)),
         );
         assert_eq!(a.visits, b.visits);
     }
@@ -353,14 +304,12 @@ mod tests {
             n: 2,
             visits: vec![],
         };
-        let stats = run_sequential_windowed(
+        let stats = run_fresh(
             &mut m,
             2,
             vec![(SimTime::ZERO, LpId(0), 0)],
             SimTime::from_secs(1),
-            SimTime::from_ms(100),
-            &[0, 1],
-            2,
+            Some((SimTime::from_ms(100), &[0, 1], 2)),
         );
         let rates = stats.partition_event_rates();
         assert_eq!(rates.len(), 2);
@@ -370,8 +319,10 @@ mod tests {
 
 #[cfg(test)]
 mod trace_tests {
-    use super::*;
+    use super::tests::run_fresh;
+    use crate::event::LpId;
     use crate::stats::TRACE_BUCKETS;
+    use crate::time::SimTime;
 
     /// Self-ticking LP: one event per millisecond.
     struct Ticker;
@@ -386,14 +337,12 @@ mod trace_tests {
     fn coarse_trace_covers_long_runs_with_bounded_buckets() {
         let mut m = Ticker;
         // 2000 windows of 1 ms: must be bucketed down to ≤ TRACE_BUCKETS.
-        let stats = run_sequential_windowed(
+        let stats = run_fresh(
             &mut m,
             1,
             vec![(SimTime::ZERO, LpId(0), ())],
             SimTime::from_ms(2000),
-            SimTime::from_ms(1),
-            &[0],
-            1,
+            Some((SimTime::from_ms(1), &[0], 1)),
         );
         assert_eq!(stats.window_count(), 2000);
         assert!(stats.coarse_trace.len() <= TRACE_BUCKETS);
@@ -407,14 +356,12 @@ mod trace_tests {
         let mut m = Ticker;
         // Events at t = 0, 1, 2, 3 ms with 2 ms windows: the t = 2 ms
         // event belongs to window 1 (windows are half-open [t0, t1)).
-        let stats = run_sequential_windowed(
+        let stats = run_fresh(
             &mut m,
             1,
             vec![(SimTime::ZERO, LpId(0), ())],
             SimTime::from_ms(4),
-            SimTime::from_ms(2),
-            &[0],
-            1,
+            Some((SimTime::from_ms(2), &[0], 1)),
         );
         assert_eq!(stats.bucket_totals, vec![2, 2]);
     }
@@ -422,7 +369,7 @@ mod trace_tests {
     #[test]
     fn empty_initial_events_is_a_clean_noop() {
         let mut m = Ticker;
-        let stats = run_sequential(&mut m, 3, vec![], SimTime::from_secs(1));
+        let stats = run_fresh(&mut m, 3, vec![], SimTime::from_secs(1), None);
         assert_eq!(stats.total_events, 0);
         assert!(stats.lp_events.iter().all(|&c| c == 0));
     }

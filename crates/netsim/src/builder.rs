@@ -10,8 +10,8 @@ use crate::packet::NetEvent;
 use crate::profiling::ProfileData;
 use crate::world::{AppLogic, NetWorld, SharedNet, DEFAULT_ROUTE_CACHE_CAPACITY};
 use massf_engine::{
-    run_sequential, run_sequential_windowed, try_run_parallel_observed, BarrierObserver,
-    ExecutionStats, LpId, MassfError, NoopBarrierObserver, SimTime,
+    run_parallel, run_sequential, BarrierObserver, ExecutionStats, LpId, MassfError, ResumeState,
+    SimTime,
 };
 use massf_faults::{FaultKind, FaultState};
 use massf_routing::PathResolver;
@@ -183,31 +183,27 @@ impl NetSimBuilder {
         events
     }
 
+    /// The frontier a fresh run of this builder starts from.
+    fn seeded(&self) -> ResumeState<NetEvent> {
+        ResumeState::seeded(self.initial_events(), self.shared.lp_count())
+    }
+
     /// Run on the sequential reference executor.
+    ///
+    /// # Panics
+    /// Panics if an initial event targets an LP outside the network.
     pub fn run_sequential<A: AppLogic>(&self, app: A, end: SimTime) -> SimOutput<A> {
-        let mut world = NetWorld::with_config(
-            self.shared.clone(),
-            app,
-            self.route_cache_capacity,
-            self.max_retries,
-        );
-        let stats = run_sequential(
-            &mut world,
-            self.shared.lp_count(),
-            self.initial_events(),
-            end,
-        );
-        let (profile, app) = world.into_parts();
-        SimOutput {
-            stats,
-            profile,
-            apps: vec![app],
-        }
+        self.sequential(app, end, None)
     }
 
     /// Run sequentially while attributing events to `(window, partition)`
     /// cells — the trace-driven mode behind the cluster performance
     /// model (DESIGN.md substitution #1).
+    ///
+    /// # Panics
+    /// Panics on an inconsistent layout (zero window, zero partitions,
+    /// an assignment not covering every node, or an entry at or above
+    /// `partitions`) or an initial event outside the network.
     pub fn run_sequential_windowed<A: AppLogic>(
         &self,
         app: A,
@@ -216,21 +212,23 @@ impl NetSimBuilder {
         assignment: &[u32],
         partitions: usize,
     ) -> SimOutput<A> {
+        self.sequential(app, end, Some((window, assignment, partitions)))
+    }
+
+    fn sequential<A: AppLogic>(
+        &self,
+        app: A,
+        end: SimTime,
+        trace: Option<(SimTime, &[u32], usize)>,
+    ) -> SimOutput<A> {
         let mut world = NetWorld::with_config(
             self.shared.clone(),
             app,
             self.route_cache_capacity,
             self.max_retries,
         );
-        let stats = run_sequential_windowed(
-            &mut world,
-            self.shared.lp_count(),
-            self.initial_events(),
-            end,
-            window,
-            assignment,
-            partitions,
-        );
+        let (stats, _) = run_sequential(&mut world, self.seeded(), end, trace)
+            .expect("sequential run input is well-formed (see # Panics)");
         let (profile, app) = world.into_parts();
         SimOutput {
             stats,
@@ -240,55 +238,18 @@ impl NetSimBuilder {
     }
 
     /// Run on the real multi-threaded conservative executor, one thread
-    /// per partition. `window` must not exceed the minimum latency of
-    /// any cross-partition link (the achieved MLL).
+    /// per partition, with a [`BarrierObserver`] wrapped around every
+    /// executor barrier (pass [`massf_engine::NoopBarrierObserver`] to
+    /// measure nothing; a measuring observer's totals land in
+    /// [`ExecutionStats::barrier_wait_us`]). `window` must not exceed
+    /// the minimum latency of any cross-partition link (the achieved
+    /// MLL).
     ///
-    /// # Panics
-    /// Panics on a lookahead violation (window above the achieved MLL
-    /// — a caller bug here, since the caller picks both). Use
-    /// [`Self::try_run_parallel`] to handle it as an error instead.
-    pub fn run_parallel<A: AppLogic + Clone>(
-        &self,
-        app: A,
-        end: SimTime,
-        window: SimTime,
-        assignment: &[u32],
-        partitions: usize,
-    ) -> SimOutput<A> {
-        match self.try_run_parallel(app, end, window, assignment, partitions) {
-            Ok(out) => out,
-            // Deliberate facade: the caller chose both the window and the
-            // cut, so a violation is a programming error;
-            // try_run_parallel offers the Result form.
-            // simlint: allow(unwrap-audit) -- panicking facade over try_run_parallel
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::run_parallel`], but a lookahead violation comes back as
-    /// [`MassfError::LookaheadViolation`] instead of a panic.
-    pub fn try_run_parallel<A: AppLogic + Clone>(
-        &self,
-        app: A,
-        end: SimTime,
-        window: SimTime,
-        assignment: &[u32],
-        partitions: usize,
-    ) -> Result<SimOutput<A>, MassfError> {
-        self.try_run_parallel_observed(
-            app,
-            end,
-            window,
-            assignment,
-            partitions,
-            &NoopBarrierObserver,
-        )
-    }
-
-    /// [`Self::try_run_parallel`] with a [`BarrierObserver`] wrapped
-    /// around every executor barrier, for bench-side measurement of
-    /// wall-clock synchronization cost; the observer's totals land in
-    /// [`ExecutionStats::barrier_wait_us`].
+    /// # Errors
+    /// [`MassfError::LookaheadViolation`] for a window above the
+    /// achieved MLL; [`MassfError::InvalidConfig`] for an inconsistent
+    /// layout (zero window, zero partitions, an assignment not covering
+    /// every node, or an entry at or above `partitions`).
     pub fn try_run_parallel_observed<A: AppLogic + Clone, O: BarrierObserver>(
         &self,
         app: A,
@@ -308,15 +269,8 @@ impl NetSimBuilder {
                 )
             })
             .collect();
-        let (shards, stats) = try_run_parallel_observed(
-            shards,
-            self.shared.lp_count(),
-            assignment,
-            self.initial_events(),
-            end,
-            window,
-            observer,
-        )?;
+        let (shards, stats, _) =
+            run_parallel(shards, assignment, self.seeded(), end, window, observer)?;
         let mut profile =
             ProfileData::new(self.shared.net.node_count(), self.shared.net.links.len());
         let mut apps = Vec::with_capacity(partitions);
@@ -337,6 +291,7 @@ impl NetSimBuilder {
 mod tests {
     use super::*;
     use crate::world::NoApp;
+    use massf_engine::NoopBarrierObserver;
     use massf_routing::{CostMetric, FlatResolver};
     use massf_topology::NodeId;
     use massf_topology::{generate_flat_network, FlatTopologyConfig};
@@ -404,7 +359,16 @@ mod tests {
         let window = SimTime::from_ms_f64(mll);
         assert!(window > SimTime::ZERO);
 
-        let par = b.run_parallel(NoApp, SimTime::from_secs(5), window, &assignment, 2);
+        let par = b
+            .try_run_parallel_observed(
+                NoApp,
+                SimTime::from_secs(5),
+                window,
+                &assignment,
+                2,
+                &NoopBarrierObserver,
+            )
+            .expect("window = cut MLL cannot violate lookahead");
         assert_eq!(seq.stats.total_events, par.stats.total_events);
         assert_eq!(seq.stats.lp_events, par.stats.lp_events);
         assert_eq!(seq.profile, par.profile);
@@ -425,7 +389,14 @@ mod tests {
         // Deliberately above the cut's MLL: conservative execution is
         // unsound and the run must abort with the structured error.
         let window = SimTime::from_ms_f64(mll * 64.0);
-        let err = match b.try_run_parallel(NoApp, SimTime::from_secs(5), window, &assignment, 2) {
+        let err = match b.try_run_parallel_observed(
+            NoApp,
+            SimTime::from_secs(5),
+            window,
+            &assignment,
+            2,
+            &NoopBarrierObserver,
+        ) {
             Ok(_) => panic!("window far above the MLL must violate lookahead"),
             Err(e) => e,
         };
@@ -439,6 +410,36 @@ mod tests {
                 assert!(event_time_ns < SimTime::from_secs(5).as_ns());
             }
             other => panic!("expected LookaheadViolation, got {other}"),
+        }
+    }
+
+    #[test]
+    fn bad_parallel_layouts_are_invalid_config() {
+        let (b, _) = builder_with_traffic();
+        let n = b.shared().lp_count();
+        let halves: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
+        let ms = SimTime::from_ms;
+        // (case, window, assignment, partitions)
+        let cases: [(&str, SimTime, &[u32], usize); 4] = [
+            ("zero window", SimTime::ZERO, &halves, 2),
+            ("short assignment", ms(1), &halves[1..], 2),
+            ("entry >= partitions", ms(1), &halves, 1),
+            ("zero partitions", ms(1), &halves, 0),
+        ];
+        for (case, window, assignment, partitions) in cases {
+            let out = b.try_run_parallel_observed(
+                NoApp,
+                ms(100),
+                window,
+                assignment,
+                partitions,
+                &NoopBarrierObserver,
+            );
+            assert!(
+                matches!(out, Err(MassfError::InvalidConfig(_))),
+                "{case}: got {:?}",
+                out.map(|o| o.stats.total_events)
+            );
         }
     }
 }

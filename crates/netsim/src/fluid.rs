@@ -1088,7 +1088,7 @@ mod tests {
     use super::*;
     use crate::packet::segments_for;
     use crate::world::{events_per_roundtrip, AppLogic, NetWorld, NoApp, SimApi};
-    use massf_engine::run_sequential;
+    use massf_engine::{run_sequential, ResumeState};
     use massf_routing::{CostMetric, FlatResolver};
     use massf_topology::{AsId, Network, NodeKind, Point};
 
@@ -1134,7 +1134,8 @@ mod tests {
     ) -> (NetWorld<A>, massf_engine::ExecutionStats) {
         let n = shared.lp_count();
         let mut world = NetWorld::new(shared, app);
-        let stats = run_sequential(&mut world, n, events, end);
+        let (stats, _) = run_sequential(&mut world, ResumeState::seeded(events, n), end, None)
+            .expect("well-formed sequential run");
         (world, stats)
     }
 

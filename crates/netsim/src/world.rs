@@ -1943,9 +1943,21 @@ pub fn events_per_roundtrip(hops: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::packet::segments_for;
-    use massf_engine::run_sequential;
+    use massf_engine::{run_sequential, ResumeState};
     use massf_routing::{CostMetric, FlatResolver};
     use massf_topology::{AsId, NodeKind, Point};
+
+    /// Run `world` sequentially from `initial` until `end` (exclusive).
+    pub(super) fn run_fresh<A: AppLogic>(
+        world: &mut NetWorld<A>,
+        initial: Vec<(SimTime, LpId, NetEvent)>,
+        end: SimTime,
+    ) -> massf_engine::ExecutionStats {
+        let n = world.shared.lp_count();
+        run_sequential(world, ResumeState::seeded(initial, n), end, None)
+            .expect("test events target existing nodes")
+            .0
+    }
 
     /// host A — r1 — r2 — host B with configurable bottleneck.
     fn dumbbell(bottleneck_bps: f64) -> (Arc<SharedNet>, NodeId, NodeId) {
@@ -1970,10 +1982,8 @@ mod tests {
         end: SimTime,
     ) -> (ProfileData, massf_engine::ExecutionStats) {
         let mut world = NetWorld::new(shared, NoApp);
-        let n = world.shared.lp_count();
-        let stats = run_sequential(
+        let stats = run_fresh(
             &mut world,
-            n,
             vec![(
                 SimTime::ZERO,
                 LpId(a.0),
@@ -2022,10 +2032,8 @@ mod tests {
         // with slow start and 2.4 ms RTT it lands within a small factor.
         let (shared, a, b) = dumbbell(10e6);
         let mut world = NetWorld::new(shared, NoApp);
-        let n = world.shared.lp_count();
-        let stats = run_sequential(
+        let stats = run_fresh(
             &mut world,
-            n,
             vec![(
                 SimTime::ZERO,
                 LpId(a.0),
@@ -2070,10 +2078,8 @@ mod tests {
             }
         }
         let mut world = NetWorld::new(shared, Sink(Vec::new()));
-        let n = world.shared.lp_count();
-        run_sequential(
+        run_fresh(
             &mut world,
-            n,
             vec![(
                 SimTime::from_ms(1),
                 LpId(a.0),
@@ -2102,10 +2108,8 @@ mod tests {
             }
         }
         let mut world = NetWorld::new(shared, T(Vec::new()));
-        let n = world.shared.lp_count();
-        run_sequential(
+        run_fresh(
             &mut world,
-            n,
             vec![(
                 SimTime::from_ms(5),
                 LpId(a.0),
@@ -2152,10 +2156,8 @@ mod tests {
             }
         }
         let mut world = NetWorld::new(shared, Order(Vec::new()));
-        let n = world.shared.lp_count();
-        run_sequential(
+        run_fresh(
             &mut world,
-            n,
             vec![
                 (
                     SimTime::ZERO,
@@ -2199,21 +2201,8 @@ mod tests {
         assert!(shared.link_between(NodeId(0), NodeId(2)).is_none());
     }
 
-    fn seeded_resume(
-        initial: Vec<(SimTime, LpId, NetEvent)>,
-        n: usize,
-    ) -> massf_engine::ResumeState<NetEvent> {
-        let mut events = massf_engine::seed_events(initial);
-        events.sort_unstable();
-        massf_engine::ResumeState {
-            events,
-            counters: vec![0; n],
-        }
-    }
-
     #[test]
     fn world_state_round_trip_preserves_execution() {
-        use massf_engine::run_sequential_resumable;
         let (shared, a, b) = dumbbell(10e6);
         let n = shared.lp_count();
         let initial = vec![(
@@ -2228,16 +2217,16 @@ mod tests {
 
         // Straight-through reference.
         let mut whole = NetWorld::new(shared.clone(), NoApp);
-        run_sequential(&mut whole, n, initial.clone(), end);
+        run_fresh(&mut whole, initial.clone(), end);
 
         // Split run: stop at 100 ms (mid-flow), snapshot, continue both
         // the original world and a restored copy.
         let mut original = NetWorld::new(shared.clone(), NoApp);
-        let (_, frontier) = run_sequential_resumable(
+        let (_, frontier) = run_sequential(
             &mut original,
-            n,
-            seeded_resume(initial, n),
+            ResumeState::seeded(initial, n),
             SimTime::from_ms(100),
+            None,
         )
         .expect("valid frontier");
         let snap = original.export_state();
@@ -2251,10 +2240,9 @@ mod tests {
         re_export.profile = snap.profile.clone();
         assert_eq!(re_export, snap);
 
-        let (_, f2) = run_sequential_resumable(&mut restored, n, frontier.clone(), end)
+        let (_, f2) = run_sequential(&mut restored, frontier.clone(), end, None)
             .expect("restored world resumes");
-        let (_, f1) =
-            run_sequential_resumable(&mut original, n, frontier, end).expect("original resumes");
+        let (_, f1) = run_sequential(&mut original, frontier, end, None).expect("original resumes");
         assert_eq!(f1.events.len(), f2.events.len());
 
         // The continued-original equals the straight-through run...
@@ -2271,7 +2259,7 @@ mod tests {
 
     #[test]
     fn partition_exports_merge_to_sequential_state() {
-        use massf_engine::{run_sequential_resumable, try_run_parallel_resumable};
+        use massf_engine::{run_parallel, NoopBarrierObserver};
         let (shared, a, b) = dumbbell(10e6);
         let n = shared.lp_count();
         let initial = vec![
@@ -2295,7 +2283,7 @@ mod tests {
         let mid = SimTime::from_ms(150);
 
         let mut seq = NetWorld::new(shared.clone(), NoApp);
-        run_sequential_resumable(&mut seq, n, seeded_resume(initial.clone(), n), mid)
+        run_sequential(&mut seq, ResumeState::seeded(initial.clone(), n), mid, None)
             .expect("sequential segment");
         let seq_state = seq.export_state();
 
@@ -2305,13 +2293,13 @@ mod tests {
             NetWorld::new(shared.clone(), NoApp),
             NetWorld::new(shared, NoApp),
         ];
-        let (shards, _, _) = try_run_parallel_resumable(
+        let (shards, _, _) = run_parallel(
             shards,
-            n,
             &assignment,
-            seeded_resume(initial, n),
+            ResumeState::seeded(initial, n),
             mid,
             SimTime::from_ms(1),
+            &NoopBarrierObserver,
         )
         .expect("parallel segment");
         let parts: Vec<WorldState> = shards.iter().map(|w| w.export_state()).collect();
@@ -2321,7 +2309,6 @@ mod tests {
 
     #[test]
     fn hostile_world_states_are_rejected() {
-        use massf_engine::run_sequential_resumable;
         let (shared, a, b) = dumbbell(10e6);
         let n = shared.lp_count();
         let initial = vec![(
@@ -2333,8 +2320,13 @@ mod tests {
             },
         )];
         let mut w = NetWorld::new(shared.clone(), NoApp);
-        run_sequential_resumable(&mut w, n, seeded_resume(initial, n), SimTime::from_ms(100))
-            .expect("segment");
+        run_sequential(
+            &mut w,
+            ResumeState::seeded(initial, n),
+            SimTime::from_ms(100),
+            None,
+        )
+        .expect("segment");
         let good = w.export_state();
         assert!(!good.flows.is_empty());
 
@@ -2478,9 +2470,9 @@ mod tests {
 
 #[cfg(test)]
 mod timing_tests {
+    use super::tests::run_fresh;
     use super::*;
     use crate::packet::HEADER_BYTES;
-    use massf_engine::run_sequential;
     use massf_routing::{CostMetric, FlatResolver};
     use massf_topology::{AsId, Network, NodeKind, Point};
 
@@ -2513,10 +2505,8 @@ mod timing_tests {
         // Router→host: depart 9, arrive 9+8+1 = 18 ms.
         let (shared, a, b) = line(1e6, 1.0);
         let mut world = NetWorld::new(shared, ArrivalClock(Vec::new()));
-        let n = world.shared.lp_count();
-        run_sequential(
+        run_fresh(
             &mut world,
-            n,
             vec![(
                 SimTime::ZERO,
                 LpId(a.0),
@@ -2542,7 +2532,6 @@ mod timing_tests {
         //   p1 arrives b at 18, p2 at 26.
         let (shared, a, b) = line(1e6, 1.0);
         let mut world = NetWorld::new(shared, ArrivalClock(Vec::new()));
-        let n = world.shared.lp_count();
         let dg = |t| {
             (
                 SimTime::from_us(t),
@@ -2554,7 +2543,7 @@ mod timing_tests {
                 },
             )
         };
-        run_sequential(&mut world, n, vec![dg(0), dg(1)], SimTime::from_secs(1));
+        run_fresh(&mut world, vec![dg(0), dg(1)], SimTime::from_secs(1));
         assert_eq!(
             world.app.0,
             vec![SimTime::from_ms(18), SimTime::from_ms(26)]
@@ -2567,7 +2556,6 @@ mod timing_tests {
         // 18 ms — each direction has its own transmit server.
         let (shared, a, b) = line(1e6, 1.0);
         let mut world = NetWorld::new(shared, ArrivalClock(Vec::new()));
-        let n = world.shared.lp_count();
         let dg = |src: NodeId, dst: NodeId| {
             (
                 SimTime::ZERO,
@@ -2579,12 +2567,7 @@ mod timing_tests {
                 },
             )
         };
-        run_sequential(
-            &mut world,
-            n,
-            vec![dg(a, b), dg(b, a)],
-            SimTime::from_secs(1),
-        );
+        run_fresh(&mut world, vec![dg(a, b), dg(b, a)], SimTime::from_secs(1));
         assert_eq!(
             world.app.0,
             vec![SimTime::from_ms(18), SimTime::from_ms(18)]

@@ -27,8 +27,8 @@ use crate::format::{
 };
 use crate::wire::{fnv1a64, ByteReader, ByteWriter};
 use massf_engine::{
-    external_tag, run_sequential_resumable, seed_events, try_run_parallel_resumable, EventRecord,
-    LpId, ResumeState, SimTime, EXTERNAL_SOURCE,
+    external_tag, run_parallel, run_sequential, EventRecord, LpId, NoopBarrierObserver,
+    ResumeState, SimTime, EXTERNAL_SOURCE,
 };
 use massf_netsim::{
     validate_net_event, NetEvent, NetWorld, NoApp, ProfileData, SharedNet, WorldState,
@@ -144,11 +144,7 @@ impl Session {
             scenario_fingerprint(&shared, &initial, route_cache_capacity, max_retries);
         // simlint: allow(cast-lossy) -- 2^32 initial events is far past any supported scale
         let next_external = initial.len() as u32;
-        let mut events = seed_events(initial);
-        // seed_events returns injection order; the frontier contract is
-        // (time, tag) order. External tags are positional, so the sort
-        // is deterministic.
-        events.sort_unstable();
+        let resume = ResumeState::seeded(initial, lp_count);
         let world = NetWorld::with_config(shared.clone(), NoApp, route_cache_capacity, max_retries)
             .export_state();
         Session {
@@ -156,10 +152,7 @@ impl Session {
             fingerprint,
             now: SimTime::ZERO,
             next_external,
-            resume: ResumeState {
-                events,
-                counters: vec![0; lp_count],
-            },
+            resume,
             world,
             total_events: 0,
             lp_events: vec![0; lp_count],
@@ -171,6 +164,14 @@ impl Session {
     /// executor. Segment boundaries and executor switches are
     /// invisible: any segmentation reproduces the straight-through run
     /// bit for bit.
+    ///
+    /// # Errors
+    /// [`MassfError::InvalidConfig`] for a backwards `end`, a rebalancing
+    /// session, or an inconsistent parallel layout (zero window, an
+    /// assignment not covering every node, a partition id at or above
+    /// the node count); [`MassfError::LookaheadViolation`] for a window
+    /// above the cut's minimum link latency. A failed call leaves the
+    /// session untouched.
     pub fn run_until(&mut self, end: SimTime, mode: &ExecMode) -> Result<(), MassfError> {
         if self.rebalance.is_some() {
             return Err(MassfError::InvalidConfig(
@@ -187,23 +188,28 @@ impl Session {
                 end.as_ns()
             )));
         }
-        let lp_count = self.shared.lp_count();
-        let resume = std::mem::replace(&mut self.resume, ResumeState::fresh(lp_count));
+        // The executors consume their start state; run on a copy so an
+        // error leaves the session as it was.
+        let resume = self.resume.clone();
         let prefix_profile = self.world.profile.clone();
         let (stats, frontier, mut world) = match mode {
             ExecMode::Sequential => {
                 let mut w = NetWorld::restore(self.shared.clone(), NoApp, &self.world)?;
-                let (stats, frontier) = run_sequential_resumable(&mut w, lp_count, resume, end)?;
+                let (stats, frontier) = run_sequential(&mut w, resume, end, None)?;
                 (stats, frontier, w.export_state())
             }
             ExecMode::Parallel { assignment, window } => {
-                if *window == SimTime::ZERO {
-                    return Err(MassfError::InvalidConfig(
-                        "parallel execution needs a nonzero barrier window".into(),
-                    ));
+                // One shard per partition id up to the highest assigned.
+                // Ids past the node count cannot come from a cut; refuse
+                // them before building that many shards.
+                let top = assignment.iter().copied().max().unwrap_or(0);
+                if top as usize >= self.shared.lp_count() {
+                    return Err(MassfError::InvalidConfig(format!(
+                        "assignment names partition {top}, but the network has {} nodes",
+                        self.shared.lp_count()
+                    )));
                 }
-                let partitions = assignment.iter().copied().max().map_or(1, |m| m + 1);
-                let shards = (0..partitions)
+                let shards = (0..=top)
                     .map(|p| {
                         NetWorld::restore_partition(
                             self.shared.clone(),
@@ -214,8 +220,14 @@ impl Session {
                         )
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let (shards, stats, frontier) =
-                    try_run_parallel_resumable(shards, lp_count, assignment, resume, end, *window)?;
+                let (shards, stats, frontier) = run_parallel(
+                    shards,
+                    assignment,
+                    resume,
+                    end,
+                    *window,
+                    &NoopBarrierObserver,
+                )?;
                 let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
                 (
                     stats,

@@ -34,7 +34,7 @@
 use crate::checkpoint::Session;
 use crate::wire::{fnv1a64, ByteWriter};
 use massf_engine::{
-    imbalance_permille, partition_loads, should_rebalance, try_run_parallel_resumable, LpId,
+    imbalance_permille, partition_loads, run_parallel, should_rebalance, LpId, NoopBarrierObserver,
     RebalanceConfig, RebalanceCounters, ResumeState, SimTime,
 };
 use massf_netsim::{NetEvent, NetWorld, NoApp, ProfileData, SharedNet, WorldState};
@@ -320,14 +320,15 @@ impl Session {
                         })
                         .collect::<Result<Vec<_>, _>>()?,
                 };
-                let resume = std::mem::replace(&mut self.resume, ResumeState::fresh(lp_count));
-                let (next_shards, stats, frontier) = try_run_parallel_resumable(
+                let resume =
+                    std::mem::replace(&mut self.resume, ResumeState::seeded(Vec::new(), lp_count));
+                let (next_shards, stats, frontier) = run_parallel(
                     current,
-                    lp_count,
                     &rb.assignment,
                     resume,
                     seg_end,
                     window,
+                    &NoopBarrierObserver,
                 )?;
                 shards = Some(next_shards);
                 self.resume = frontier;

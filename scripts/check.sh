@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Workspace gate: formatting, lints, static analysis, and the test suite.
+# Workspace gate: formatting, lints, static analysis, the test suite,
+# and the repository benchmark's build and self-tests (perfbench/ is its
+# own Cargo workspace, so the root `cargo test` never compiles it).
 # Run from anywhere; operates on the repository containing this script.
 #
 #   scripts/check.sh          full gate (including the release-mode
@@ -55,6 +57,10 @@ stage "cargo clippy (deny warnings + unwrap_used, whole workspace)" \
 
 stage "cargo test" \
     cargo test -q
+
+# --locked: a change that would rewrite perfbench/Cargo.lock fails here.
+stage "perfbench tests (repository benchmark, --locked)" \
+    cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 if [ "$FAST" -eq 0 ]; then
     stage "fault_flap_study --smoke" \

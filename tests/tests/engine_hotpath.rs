@@ -6,8 +6,8 @@
 //! regression for tiny-window/long-horizon runs.
 
 use massf_engine::{
-    run_parallel, run_sequential, run_sequential_windowed, Emitter, ExecutionStats, LpId, Model,
-    SimTime, TRACE_BUCKETS,
+    run_parallel, run_sequential, Emitter, ExecutionStats, LpId, Model, NoopBarrierObserver,
+    ResumeState, SimTime, TRACE_BUCKETS,
 };
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The overhauled executor is bit-identical to `run_sequential`
-    /// (visit logs) and to `run_sequential_windowed` (window/partition
+    /// (visit logs) and to its traced form (window/partition
     /// accounting) for any window ≤ the 1 ms hop lookahead — including
     /// windows that do not divide the horizon — any burst/idle shape,
     /// and any assignment of LPs to 1..=4 partitions.
@@ -123,20 +123,22 @@ proptest! {
             })
             .collect();
 
+        let seeded = || ResumeState::seeded(initial.clone(), n as usize);
         let mut seq = LogRing::new(n, hop, idle, burst);
-        run_sequential(&mut seq, n as usize, initial.clone(), end);
+        run_sequential(&mut seq, seeded(), end, None).expect("untraced reference");
 
         let mut seqw = LogRing::new(n, hop, idle, burst);
-        let seqw_stats = run_sequential_windowed(
-            &mut seqw, n as usize, initial.clone(), end, window, &assignment, parts,
-        );
+        let (seqw_stats, _) =
+            run_sequential(&mut seqw, seeded(), end, Some((window, &assignment, parts)))
+                .expect("traced reference");
         prop_assert_eq!(&seqw.log, &seq.log);
 
         let shards: Vec<LogRing> = (0..parts)
             .map(|_| LogRing::new(n, hop, idle, burst))
             .collect();
-        let (shards, par_stats) =
-            run_parallel(shards, n as usize, &assignment, initial, end, window);
+        let (shards, par_stats, _) =
+            run_parallel(shards, &assignment, seeded(), end, window, &NoopBarrierObserver)
+                .expect("window <= hop cannot violate lookahead");
 
         prop_assert_eq!(&merged_log(&shards), &seq.log);
         assert_windowed_stats_match(&seqw_stats, &par_stats);
@@ -160,15 +162,17 @@ proptest! {
         let window = hop;
         let initial = vec![(SimTime::ZERO, LpId(0), burst)];
 
+        let seeded = || ResumeState::seeded(initial.clone(), n as usize);
         let mut seq = LogRing::new(n, hop, idle, burst);
-        run_sequential(&mut seq, n as usize, initial.clone(), end);
+        run_sequential(&mut seq, seeded(), end, None).expect("sequential reference");
 
         let assignment: Vec<u32> = (0..n).map(|i| i % parts as u32).collect();
         let shards: Vec<LogRing> = (0..parts)
             .map(|_| LogRing::new(n, hop, idle, burst))
             .collect();
-        let (shards, stats) =
-            run_parallel(shards, n as usize, &assignment, initial, end, window);
+        let (shards, stats, _) =
+            run_parallel(shards, &assignment, seeded(), end, window, &NoopBarrierObserver)
+                .expect("window = hop cannot violate lookahead");
 
         prop_assert_eq!(&merged_log(&shards), &seq.log);
         prop_assert_eq!(stats.barrier_rounds, 1 + 2 * stats.windows_executed);
@@ -200,24 +204,23 @@ fn tiny_window_long_horizon_stays_bounded() {
     let assignment: Vec<u32> = (0..n).map(|i| i % 2).collect();
 
     let mut seq = model();
-    let seq_stats = run_sequential_windowed(
+    let (seq_stats, _) = run_sequential(
         &mut seq,
-        n as usize,
-        initial.clone(),
+        ResumeState::seeded(initial.clone(), n as usize),
         end,
-        window,
-        &assignment,
-        2,
-    );
+        Some((window, &assignment, 2)),
+    )
+    .expect("traced reference");
 
-    let (shards, stats) = run_parallel(
+    let (shards, stats, _) = run_parallel(
         vec![model(), model()],
-        n as usize,
         &assignment,
-        initial,
+        ResumeState::seeded(initial, n as usize),
         end,
         window,
-    );
+        &NoopBarrierObserver,
+    )
+    .expect("1 us window under 30 s hops cannot violate lookahead");
 
     for s in [&seq_stats, &stats] {
         assert_eq!(s.window_count(), n_windows);

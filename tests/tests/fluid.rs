@@ -13,7 +13,7 @@
 //!    since restore re-canonicalizes slot assignment while the
 //!    uninterrupted run keeps its own recycling history.
 
-use massf_engine::{run_sequential, SimTime};
+use massf_engine::{run_sequential, NoopBarrierObserver, ResumeState, SimTime};
 use massf_netsim::{
     Agent, AppLogic, FaultScript, FaultState, FlowId, NetSimBuilder, NetWorld, NoApp, SharedNet,
     SimApi, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, FLUID_CONTROL_DELAY, MAX_RETRIES,
@@ -140,7 +140,9 @@ fn mixed_fidelity_parallel_matches_sequential_bit_identically() {
     assert!(seq.profile.completed_flows > 0, "TCP traffic must flow");
 
     let (assignment, window) = fluid_parity_cut(&builder.shared(), 4);
-    let par = builder.run_parallel(NoApp, end, window, &assignment, 4);
+    let par = builder
+        .try_run_parallel_observed(NoApp, end, window, &assignment, 4, &NoopBarrierObserver)
+        .expect("fluid parity-cut window is lookahead-safe");
     assert_eq!(seq.stats.total_events, par.stats.total_events);
     assert_eq!(seq.stats.lp_events, par.stats.lp_events);
     assert_eq!(seq.profile, par.profile, "all counters, fluid included");
@@ -154,7 +156,13 @@ fn fairness_invariants_hold_at_arbitrary_stop_times() {
     for end_ms in [40u64, 170, 600, 2_000] {
         let n = shared.lp_count();
         let mut world = NetWorld::new(shared.clone(), NoApp);
-        run_sequential(&mut world, n, events.clone(), SimTime::from_ms(end_ms));
+        run_sequential(
+            &mut world,
+            ResumeState::seeded(events.clone(), n),
+            SimTime::from_ms(end_ms),
+            None,
+        )
+        .expect("mixed scenario events are well-formed");
         world
             .check_fluid_invariants()
             .unwrap_or_else(|e| panic!("stop at {end_ms} ms: {e}"));
@@ -210,7 +218,9 @@ fn flap_on_shared_bottleneck_reroutes_both_fidelities() {
     assert!(out.profile.node_packets[r2.index()] > 0);
     // The mixed run stays bit-identical in parallel through the flap.
     let (assignment, window) = fluid_parity_cut(&builder.shared(), 3);
-    let par = builder.run_parallel(NoApp, end, window, &assignment, 3);
+    let par = builder
+        .try_run_parallel_observed(NoApp, end, window, &assignment, 3, &NoopBarrierObserver)
+        .expect("fluid parity-cut window is lookahead-safe");
     assert_eq!(out.stats.total_events, par.stats.total_events);
     assert_eq!(out.profile, par.profile);
 }
@@ -356,7 +366,11 @@ proptest! {
         let seq = builder.run_sequential(NoApp, end);
 
         let (assignment, window) = fluid_parity_cut(&builder.shared(), parts);
-        let par = builder.run_parallel(NoApp, end, window, &assignment, parts as usize);
+        let par = builder
+            .try_run_parallel_observed(
+                NoApp, end, window, &assignment, parts as usize, &NoopBarrierObserver,
+            )
+            .expect("fluid parity-cut window is lookahead-safe");
         prop_assert_eq!(seq.stats.total_events, par.stats.total_events);
         prop_assert_eq!(&seq.stats.lp_events, &par.stats.lp_events);
         prop_assert_eq!(&seq.profile, &par.profile);
@@ -365,7 +379,8 @@ proptest! {
         let shared = builder.shared();
         let n = shared.lp_count();
         let mut world = NetWorld::new(shared, NoApp);
-        run_sequential(&mut world, n, builder.initial_events(), end);
+        run_sequential(&mut world, ResumeState::seeded(builder.initial_events(), n), end, None)
+            .expect("mixed scenario events are well-formed");
         prop_assert!(world.check_fluid_invariants().is_ok());
     }
 }

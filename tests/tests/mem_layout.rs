@@ -8,7 +8,8 @@
 //! and the parallel engine at every partition count.
 
 use massf_engine::SimTime;
-use massf_netsim::{Agent, NetSimBuilder, NoApp};
+use massf_integration::run_parity_cut;
+use massf_netsim::{Agent, NetSimBuilder};
 use massf_parutil::with_threads;
 use massf_routing::{CostMetric, FlatResolver};
 use massf_topology::{generate_flat_network, FlatTopologyConfig, Network};
@@ -40,26 +41,7 @@ fn run_schedule(
         }
         builder.add_agent(agent);
         let duration = SimTime::from_secs(2);
-        let out = if partitions == 1 {
-            builder.run_sequential(NoApp, duration)
-        } else {
-            let assignment: Vec<u32> = (0..net.node_count())
-                .map(|i| (i % partitions) as u32)
-                .collect();
-            let mut window = f64::INFINITY;
-            for link in &net.links {
-                if assignment[link.a.index()] != assignment[link.b.index()] {
-                    window = window.min(link.latency_ms);
-                }
-            }
-            builder.run_parallel(
-                NoApp,
-                duration,
-                SimTime::from_ms_f64(window),
-                &assignment,
-                partitions,
-            )
-        };
+        let out = run_parity_cut(&builder, duration, partitions);
         (out.profile, out.stats.total_events)
     })
 }

@@ -8,8 +8,8 @@
 //! derive from the values compared here.
 
 use massf_core::prelude::*;
-use massf_integration::{tiny_mapping_config, tiny_multi_as, tiny_single_as};
-use massf_netsim::{Agent, FaultScript, FaultState, NetSimBuilder, NoApp};
+use massf_integration::{run_parity_cut, tiny_mapping_config, tiny_multi_as, tiny_single_as};
+use massf_netsim::{Agent, FaultScript, FaultState, NetSimBuilder};
 use massf_parutil::with_threads;
 use massf_routing::{CostMetric, MultiAsResolver, OspfDomain};
 use massf_topology::{
@@ -151,26 +151,7 @@ fn fault_injected_run_identical_across_thread_counts() {
             let faults = make_faults();
             let mut builder = NetSimBuilder::new_with_faults(net.clone(), faults.clone());
             builder.add_agent(traffic());
-            let out = if partitions == 1 {
-                builder.run_sequential(NoApp, duration)
-            } else {
-                let assignment: Vec<u32> = (0..net.node_count())
-                    .map(|i| (i % partitions) as u32)
-                    .collect();
-                let mut window = f64::INFINITY;
-                for link in &net.links {
-                    if assignment[link.a.index()] != assignment[link.b.index()] {
-                        window = window.min(link.latency_ms);
-                    }
-                }
-                builder.run_parallel(
-                    NoApp,
-                    duration,
-                    SimTime::from_ms_f64(window),
-                    &assignment,
-                    partitions,
-                )
-            };
+            let out = run_parity_cut(&builder, duration, partitions);
             (
                 out.stats.total_events,
                 out.profile,
@@ -224,26 +205,7 @@ fn route_cache_transparent_and_identical_across_thread_counts() {
             let mut builder = NetSimBuilder::new(net.clone(), resolver);
             builder.route_cache_capacity(capacity);
             builder.add_agent(traffic());
-            if partitions == 1 {
-                builder.run_sequential(NoApp, duration)
-            } else {
-                let assignment: Vec<u32> = (0..net.node_count())
-                    .map(|i| (i % partitions) as u32)
-                    .collect();
-                let mut window = f64::INFINITY;
-                for link in &net.links {
-                    if assignment[link.a.index()] != assignment[link.b.index()] {
-                        window = window.min(link.latency_ms);
-                    }
-                }
-                builder.run_parallel(
-                    NoApp,
-                    duration,
-                    SimTime::from_ms_f64(window),
-                    &assignment,
-                    partitions,
-                )
-            }
+            run_parity_cut(&builder, duration, partitions)
         })
     };
 

@@ -4,6 +4,7 @@
 //! achieved MLL, gives results bit-identical to sequential execution.
 
 use massf_core::prelude::*;
+use massf_engine::NoopBarrierObserver;
 use massf_integration::{tiny_mapping_config, tiny_single_as};
 use massf_netsim::NetSimBuilder;
 
@@ -27,7 +28,16 @@ fn parallel_run_matches_sequential_under_hprof_mapping() {
     builder.add_initial_events(events);
 
     let seq = builder.run_sequential(app.clone(), end);
-    let par = builder.run_parallel(app, end, window, &mapping.partition.assignment, 3);
+    let par = builder
+        .try_run_parallel_observed(
+            app,
+            end,
+            window,
+            &mapping.partition.assignment,
+            3,
+            &NoopBarrierObserver,
+        )
+        .expect("window = achieved MLL cannot violate lookahead");
 
     assert_eq!(seq.stats.total_events, par.stats.total_events);
     assert_eq!(seq.stats.lp_events, par.stats.lp_events);
@@ -50,7 +60,16 @@ fn parallel_run_matches_sequential_on_multi_as_bgp_network() {
     builder.add_initial_events(events);
 
     let seq = builder.run_sequential(app.clone(), end);
-    let par = builder.run_parallel(app, end, window, &mapping.partition.assignment, 2);
+    let par = builder
+        .try_run_parallel_observed(
+            app,
+            end,
+            window,
+            &mapping.partition.assignment,
+            2,
+            &NoopBarrierObserver,
+        )
+        .expect("window = achieved MLL cannot violate lookahead");
 
     assert_eq!(seq.stats.total_events, par.stats.total_events);
     assert_eq!(seq.stats.lp_events, par.stats.lp_events);

@@ -4,7 +4,9 @@
 use massf_core::hier::{reduce_graph, SweepReducer};
 use massf_core::prelude::*;
 use massf_core::{EdgeWeighting, VertexWeighting};
-use massf_engine::{run_parallel, run_sequential, Emitter, LpId, Model};
+use massf_engine::{
+    run_parallel, run_sequential, Emitter, LpId, Model, NoopBarrierObserver, ResumeState,
+};
 use massf_partition::{greedy_kcluster, UnionFind};
 use massf_routing::bgp::{is_valley_free, BgpRib};
 use massf_topology::AsGraph;
@@ -227,14 +229,27 @@ proptest! {
         let window = massf_engine::SimTime::from_ms(1); // = min hop latency
 
         let mut seq = Mixer { n, hash: vec![0; n as usize] };
-        let seq_stats = run_sequential(&mut seq, n as usize, initial.clone(), end);
+        let (seq_stats, _) = run_sequential(
+            &mut seq,
+            ResumeState::seeded(initial.clone(), n as usize),
+            end,
+            None,
+        )
+        .expect("random seeds target existing LPs");
 
         let assignment: Vec<u32> = (0..n).map(|i| i % parts as u32).collect();
         let shards: Vec<Mixer> = (0..parts)
             .map(|_| Mixer { n, hash: vec![0; n as usize] })
             .collect();
-        let (shards, par_stats) =
-            run_parallel(shards, n as usize, &assignment, initial, end, window);
+        let (shards, par_stats, _) = run_parallel(
+            shards,
+            &assignment,
+            ResumeState::seeded(initial, n as usize),
+            end,
+            window,
+            &NoopBarrierObserver,
+        )
+        .expect("window = min hop latency cannot violate lookahead");
 
         prop_assert_eq!(seq_stats.total_events, par_stats.total_events);
         prop_assert_eq!(&seq_stats.lp_events, &par_stats.lp_events);

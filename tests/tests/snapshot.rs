@@ -167,6 +167,40 @@ fn executor_switches_at_checkpoints_are_invisible() {
     assert_matches_reference(&session, &reference);
 }
 
+/// Bad parallel layouts are structured errors, never panics, and a
+/// refused segment leaves the session untouched: finishing the run
+/// afterwards still reproduces the straight-through reference.
+#[test]
+fn bad_parallel_layouts_are_refused_and_leave_the_session_untouched() {
+    let builder = flap_scenario(37, 1, 8);
+    let end = SimTime::from_secs(2);
+    let reference = builder.run_sequential(NoApp, end);
+    let (assignment, window) = parity_cut(&builder.shared(), 2);
+    let mut huge_id = assignment.clone();
+    huge_id[0] = u32::MAX;
+
+    let mut session = session_for(&builder);
+    session
+        .run_until(SimTime::from_ms(700), &ExecMode::Sequential)
+        .expect("sequential prefix");
+    let cases = [
+        ("zero window", assignment.clone(), SimTime::ZERO),
+        ("short assignment", assignment[1..].to_vec(), window),
+        ("partition id u32::MAX", huge_id, window),
+    ];
+    for (case, assignment, window) in cases {
+        let err = session
+            .run_until(end, &ExecMode::Parallel { assignment, window })
+            .expect_err(case);
+        assert!(matches!(err, MassfError::InvalidConfig(_)), "{case}: {err}");
+        assert_eq!(session.now(), SimTime::from_ms(700), "{case}");
+    }
+    session
+        .run_until(end, &ExecMode::Parallel { assignment, window })
+        .expect("valid parallel suffix");
+    assert_matches_reference(&session, &reference);
+}
+
 #[test]
 fn fingerprint_mismatch_is_refused() {
     let builder = flap_scenario(41, 1, 6);
