@@ -111,10 +111,10 @@ fn bench_multi_as_repeated_pairs(c: &mut Criterion) {
     let m = generate_multi_as_network(&cfg);
     let hosts = m.network.host_ids();
     let set = pairs(&hosts, PAIRS);
-    let uncached = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+    let uncached = MultiAsResolver::new(&m, CostMetric::Latency);
     let _ = drive(&uncached, &set);
     let cached = CachedResolver::new(
-        MultiAsResolver::new(&m, CostMetric::Latency, &cfg),
+        MultiAsResolver::new(&m, CostMetric::Latency),
         m.network.node_count(),
         128,
     );
@@ -247,9 +247,9 @@ fn run_smoke() {
     let m = generate_multi_as_network(&cfg);
     let mhosts = m.network.host_ids();
     let mset = pairs(&mhosts, 24);
-    let muncached = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+    let muncached = MultiAsResolver::new(&m, CostMetric::Latency);
     let mcached = CachedResolver::new(
-        MultiAsResolver::new(&m, CostMetric::Latency, &cfg),
+        MultiAsResolver::new(&m, CostMetric::Latency),
         m.network.node_count(),
         16,
     );

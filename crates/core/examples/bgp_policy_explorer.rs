@@ -93,7 +93,7 @@ fn main() {
     println!("the unconstrained shortest AS path — the cost of valley-free routing.");
 
     // -- End-to-end: stub default routing in action --
-    let resolver = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+    let resolver = MultiAsResolver::new(&m, CostMetric::Latency);
     let hosts = m.network.host_ids();
     if let (Some(&a), Some(&b)) = (hosts.first(), hosts.last()) {
         if let Some(path) = resolver.route(a, b) {

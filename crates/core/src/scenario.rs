@@ -237,7 +237,7 @@ impl Scenario {
             ScenarioKind::MultiAs => {
                 let cfg = scale.multi_as_config(seed);
                 let m = generate_multi_as_network(&cfg);
-                let resolver = Arc::new(MultiAsResolver::new(&m, CostMetric::Latency, &cfg));
+                let resolver = Arc::new(MultiAsResolver::new(&m, CostMetric::Latency));
                 (m.network, resolver)
             }
         };

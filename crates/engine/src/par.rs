@@ -49,7 +49,7 @@ use crate::arena::{EventArena, QueuedEvent};
 use crate::event::EventRecord;
 use crate::model::{Emitter, Model};
 use crate::resume::ResumeState;
-use crate::stats::{bucket_layout, ExecutionStats};
+use crate::stats::{ExecutionStats, WindowAccumulator};
 use crate::time::SimTime;
 use massf_topology::MassfError;
 use parking_lot::Mutex;
@@ -86,18 +86,6 @@ impl BarrierObserver for NoopBarrierObserver {}
 /// Sentinel for "my heap is empty" in the published next-event times.
 const IDLE: u64 = u64::MAX;
 
-/// Windowed aggregates reduced by partition 0; everything is bounded by
-/// `TRACE_BUCKETS`, never by the window count.
-struct WindowStats {
-    bucket_critical: Vec<u64>,
-    bucket_totals: Vec<u64>,
-    partition_totals: Vec<u64>,
-    coarse_trace: Vec<Vec<u64>>,
-    windows_per_bucket: usize,
-    windows_executed: u64,
-    barrier_rounds: u64,
-}
-
 struct ThreadResult<M: Model> {
     shard: M,
     lp_events: Vec<u64>,
@@ -106,7 +94,9 @@ struct ThreadResult<M: Model> {
     /// inside the current window, if any — a lookahead violation.
     violation: Option<u64>,
     /// `Some` only for partition 0, which performs the reduction.
-    windowed: Option<WindowStats>,
+    windowed: Option<WindowAccumulator>,
+    /// Barrier rounds this partition took part in (the same for all).
+    barrier_rounds: u64,
     /// This partition's drained frontier, sorted by `(time, tag)`.
     pending: Vec<EventRecord<M::Event>>,
     /// Per-LP emission counters at exit (only this partition's LPs ever
@@ -264,18 +254,8 @@ pub fn run_parallel<M: Model, O: BarrierObserver>(
                 let mut lp_events = vec![0u64; lp_count];
                 let mut total = 0u64;
                 let mut violation: Option<u64> = None;
-                let mut windowed = (p == 0).then(|| {
-                    let (windows_per_bucket, buckets) = bucket_layout(n_windows);
-                    WindowStats {
-                        bucket_critical: vec![0; buckets],
-                        bucket_totals: vec![0; buckets],
-                        partition_totals: vec![0; partitions],
-                        coarse_trace: vec![vec![0; partitions]; buckets],
-                        windows_per_bucket,
-                        windows_executed: 0,
-                        barrier_rounds: 1, // the initial publish barrier
-                    }
-                });
+                let mut windowed = (p == 0).then(|| WindowAccumulator::new(partitions, n_windows));
+                let mut barrier_rounds = 1; // the initial publish barrier
 
                 // Publish the initial next-event time, then rendezvous so
                 // every partition computes the first window from complete
@@ -377,26 +357,17 @@ pub fn run_parallel<M: Model, O: BarrierObserver>(
                     // stats (partition 0 only; peers are draining their
                     // columns meanwhile, which never touches
                     // `win_counts`).
-                    if let Some(ws) = windowed.as_mut() {
-                        let b = w / ws.windows_per_bucket;
-                        let mut win_total = 0u64;
-                        let mut win_max = 0u64;
-                        for (q, c) in win_counts.iter().enumerate() {
-                            let c = c.load(Ordering::Relaxed);
-                            win_total += c;
-                            win_max = win_max.max(c);
-                            ws.partition_totals[q] += c;
-                            ws.coarse_trace[b][q] += c;
-                        }
-                        ws.bucket_critical[b] += win_max;
-                        ws.bucket_totals[b] += win_total;
+                    if let Some(acc) = windowed.as_mut() {
                         // Fast-forward chose `w` because it holds the
                         // globally next event, so the window is never
                         // empty.
-                        debug_assert!(win_total > 0, "executed window must hold events");
-                        ws.windows_executed += 1;
-                        ws.barrier_rounds += 2;
+                        debug_assert!(
+                            win_counts.iter().any(|c| c.load(Ordering::Relaxed) > 0),
+                            "executed window must hold events"
+                        );
+                        acc.record_window(w, win_counts.iter().map(|c| c.load(Ordering::Relaxed)));
                     }
+                    barrier_rounds += 2;
                     // Drain my column in fixed sender-index order.
                     for q in 0..partitions {
                         if q == p {
@@ -450,6 +421,7 @@ pub fn run_parallel<M: Model, O: BarrierObserver>(
                     total,
                     violation,
                     windowed,
+                    barrier_rounds,
                     pending,
                     counters,
                     error,
@@ -487,8 +459,8 @@ pub fn run_parallel<M: Model, O: BarrierObserver>(
     }
 
     let mut stats = ExecutionStats::new(lp_count);
-    stats.window = window;
     stats.end_time = end_time;
+    stats.barrier_rounds = results[0].barrier_rounds;
     stats.barrier_wait_us = observer.waits_us();
     let mut shards_out = Vec::with_capacity(partitions);
     let mut resume_events: Vec<EventRecord<M::Event>> = Vec::new();
@@ -498,16 +470,8 @@ pub fn run_parallel<M: Model, O: BarrierObserver>(
             *dst += src;
         }
         stats.total_events += r.total;
-        if let Some(ws) = r.windowed {
-            stats.n_windows = n_windows;
-            stats.bucket_critical = ws.bucket_critical;
-            stats.bucket_totals = ws.bucket_totals;
-            stats.partition_totals = ws.partition_totals;
-            stats.coarse_trace = ws.coarse_trace;
-            stats.windows_per_bucket = ws.windows_per_bucket;
-            stats.windows_executed = ws.windows_executed;
-            stats.windows_skipped = n_windows as u64 - ws.windows_executed;
-            stats.barrier_rounds = ws.barrier_rounds;
+        if let Some(acc) = r.windowed {
+            acc.finish(window, &mut stats);
         }
         resume_events.extend(r.pending);
         // Each LP advances only in its owner partition; everywhere else

@@ -175,8 +175,8 @@ pub(crate) struct WindowAccumulator {
     windows_executed: u64,
 }
 
-/// Bucket geometry shared by every windowed-stats producer.
-pub(crate) fn bucket_layout(n_windows: usize) -> (usize, usize) {
+/// Bucket geometry: `(windows per bucket, bucket count)`.
+fn bucket_layout(n_windows: usize) -> (usize, usize) {
     let windows_per_bucket = n_windows.div_ceil(TRACE_BUCKETS).max(1);
     let buckets = n_windows.div_ceil(windows_per_bucket);
     (windows_per_bucket, buckets)
@@ -202,6 +202,19 @@ impl WindowAccumulator {
     /// Record one event of partition `p` in window `w`. Windows must be
     /// non-decreasing (guaranteed by time-ordered execution).
     pub(crate) fn record(&mut self, w: usize, p: usize) {
+        self.add(w, p, 1);
+    }
+
+    /// Record a whole window at once: `counts[p]` events of partition
+    /// `p` in window `w` (the parallel executor's per-window reduction).
+    /// Same non-decreasing window contract as [`Self::record`].
+    pub(crate) fn record_window(&mut self, w: usize, counts: impl IntoIterator<Item = u64>) {
+        for (p, n) in counts.into_iter().enumerate() {
+            self.add(w, p, n);
+        }
+    }
+
+    fn add(&mut self, w: usize, p: usize, n: u64) {
         debug_assert!(w >= self.current_window, "windows must advance");
         if w != self.current_window {
             self.flush_current();
@@ -209,11 +222,11 @@ impl WindowAccumulator {
             // nothing to any aggregate.
             self.current_window = w;
         }
-        self.current_counts[p] += 1;
-        self.current_total += 1;
-        self.partition_totals[p] += 1;
+        self.current_counts[p] += n;
+        self.current_total += n;
+        self.partition_totals[p] += n;
         if let Some(bucket) = self.coarse_trace.get_mut(w / self.windows_per_bucket) {
-            bucket[p] += 1;
+            bucket[p] += n;
         }
     }
 

@@ -21,11 +21,11 @@
 //!
 //! Routing reconverges *online*: each epoch's [`PathResolver`] is built
 //! lazily (behind a `OnceLock`) the first time the epoch is routed in —
-//! for flat single-AS worlds by re-running OSPF with dead links filtered
-//! out and warming the full table on the shared worker pool
-//! (`OspfDomain::warm_full_table`), for multi-AS worlds by re-running the
-//! BGP decision process on the reduced AS graph
-//! (`MultiAsResolver::with_failed_adjacencies`).
+//! for flat single-AS worlds by rebuilding the OSPF domain with dead
+//! links filtered out (`FlatResolver::with_link_filter`, whose
+//! shortest-path trees are computed on first query, as in epoch 0), for
+//! multi-AS worlds by re-running the BGP decision process on the reduced
+//! AS graph (`MultiAsResolver::with_failed_adjacencies`).
 //!
 //! `massf-netsim` consumes this crate: `SharedNet` carries an optional
 //! `Arc<FaultState>`, drops packets that touch a dead link or node, and

@@ -3,7 +3,7 @@
 
 use crate::script::{FaultKind, FaultScript};
 use massf_engine::SimTime;
-use massf_routing::{CostMetric, MultiAsResolver, OspfDomain, PathResolver};
+use massf_routing::{CostMetric, FlatResolver, MultiAsResolver, PathResolver};
 use massf_topology::mabrite::MultiAsNetwork;
 use massf_topology::{LinkId, MassfError, Network, NodeId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -175,34 +175,26 @@ impl FaultState {
     }
 
     /// Compile `script` for a flat single-AS world: each faulty epoch's
-    /// resolver re-runs OSPF over the network with dead links and dead
-    /// nodes' links filtered out, then warms the full SPT table on the
-    /// shared worker pool (the reconvergence cost the paper's online
-    /// setting pays).
+    /// resolver is a [`FlatResolver`] over the network with dead links
+    /// and dead nodes' links filtered out. Building it (the filtered
+    /// OSPF domain) is the reconvergence cost the paper's online setting
+    /// pays; its shortest-path trees are computed on first query, as in
+    /// epoch 0.
     pub fn flat(
         net: &Network,
         metric: CostMetric,
         script: FaultScript,
     ) -> Result<Arc<Self>, MassfError> {
-        let base: Arc<dyn PathResolver> = Arc::new(massf_routing::FlatResolver::new(net, metric));
+        let base: Arc<dyn PathResolver> = Arc::new(FlatResolver::new(net, metric));
         let owned = Arc::new(net.clone());
         let factory = Box::new(move |epoch: &EpochState| -> Arc<dyn PathResolver> {
-            let members: Vec<NodeId> = owned.nodes.iter().map(|n| n.id).collect();
             let dead_links = &epoch.dead_links;
             let dead_nodes = &epoch.dead_nodes;
-            let domain = OspfDomain::with_link_filter(
-                &owned,
-                members,
-                metric,
-                owned.node_count().max(1),
-                |l| {
-                    dead_links.binary_search(&l.id.0).is_err()
-                        && dead_nodes.binary_search(&l.a.0).is_err()
-                        && dead_nodes.binary_search(&l.b.0).is_err()
-                },
-            );
-            domain.warm_full_table();
-            Arc::new(EpochFlatResolver { domain })
+            Arc::new(FlatResolver::with_link_filter(&owned, metric, |l| {
+                dead_links.binary_search(&l.id.0).is_err()
+                    && dead_nodes.binary_search(&l.a.0).is_err()
+                    && dead_nodes.binary_search(&l.b.0).is_err()
+            }))
         });
         Self::with_factory(net, script, base, factory)
     }
@@ -334,8 +326,9 @@ impl FaultState {
     }
 
     /// Force the reconvergence for the epoch in force at `t` (the fault
-    /// event handler calls this so rebuild cost is paid at fault time,
-    /// not at the next routed packet).
+    /// event handler calls this so building the epoch's resolver is paid
+    /// at fault time, not at the next routed packet; its shortest-path
+    /// trees are computed on first query).
     pub fn reconverge_at(&self, t: SimTime) {
         self.resolver_for_epoch(self.epoch_at(t));
     }
@@ -356,17 +349,6 @@ fn last_state(transitions: &[(SimTime, bool)], t: SimTime) -> bool {
         true
     } else {
         transitions[idx - 1].1
-    }
-}
-
-/// Per-epoch flat resolver: one filtered, fully warmed OSPF domain.
-struct EpochFlatResolver {
-    domain: OspfDomain,
-}
-
-impl PathResolver for EpochFlatResolver {
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.domain.path(src, dst)
     }
 }
 

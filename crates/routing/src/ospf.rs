@@ -5,7 +5,7 @@
 //! multi-AS network. Shortest-path trees (SPTs) are computed per
 //! *destination* with Dijkstra and cached, so path queries cost
 //! O(path length) after the first query to a destination and the domain
-//! never materializes an O(N²) table unless explicitly warmed.
+//! never materializes an O(N²) table.
 //!
 //! ## Storage and locking
 //!
@@ -13,12 +13,9 @@
 //! index of the next hop from member `i` toward the destination, which
 //! doubles as the next-hop table, and distances are recomputed on demand
 //! by walking parents and summing link costs (4 bytes per node per
-//! destination instead of 12; a 20,000-router full table is 1.6 GB, not
-//! 4.8 GB). Lazily computed SPTs live in a bounded FIFO cache behind a
-//! mutex; [`OspfDomain::warm_full_table`] instead computes every
-//! destination on the shared worker pool (reusing per-worker Dijkstra
-//! scratch buffers) and freezes the result into a lock-free read-only
-//! table, so post-warm queries from parallel engines never contend.
+//! destination instead of 12). Computed SPTs live in a bounded FIFO
+//! cache behind a mutex, which also holds the Dijkstra scratch buffers
+//! reused across computations.
 //!
 //! ## Host aggregation
 //!
@@ -26,20 +23,18 @@
 //! router's routes plus the single access link. The domain exploits
 //! this: members that are single-homed hosts are classified as
 //! *aggregated leaves* at build time and excluded from the Dijkstra
-//! graph entirely — SPTs (and their parent arrays, and the destination
-//! axis of the full table) cover only the *core* (routers plus any
-//! multi-homed or isolated oddballs). Queries compose a leaf endpoint as
-//! `[host] + core walk from its attach router` (and symmetrically at the
-//! destination), which is exact because the access link is the host's
-//! only edge. For the paper's topologies — tens of hosts per router —
-//! this shrinks routing state by the host:router ratio squared for a
-//! warmed table: one routing entry per attached router, not per host.
+//! graph entirely — SPTs (and their parent arrays) cover only the
+//! *core* (routers plus any multi-homed or isolated oddballs). Queries
+//! compose a leaf endpoint as `[host] + core walk from its attach
+//! router` (and symmetrically at the destination), which is exact
+//! because the access link is the host's only edge. For the paper's
+//! topologies — tens of hosts per router — this shrinks routing state:
+//! one routing entry per attached router, not per host.
 
 // simlint: allow-file(cast-lossy) -- local router indices are positions in `members`, bounded by the domain size which is far below u32::MAX
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::OnceLock;
 
 /// Link cost metric for SPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +73,8 @@ struct Spt {
     parent: Box<[u32]>,
 }
 
-/// Reusable Dijkstra working memory: one allocation per worker instead
-/// of one per destination when warming a full table.
+/// Reusable Dijkstra working memory: one allocation per domain instead
+/// of one per computed destination.
 #[derive(Default)]
 struct SptScratch {
     dist: Vec<u64>,
@@ -89,8 +84,7 @@ struct SptScratch {
 /// An OSPF routing domain over a subset of a [`Network`]'s nodes.
 ///
 /// Queries are thread-safe: lazily computed SPTs sit in a bounded FIFO
-/// cache behind a mutex, and a warmed full table is frozen behind a
-/// `OnceLock` that readers hit without any lock.
+/// cache behind a mutex.
 pub struct OspfDomain {
     /// Member nodes (routers and hosts of the domain), defining local
     /// indices.
@@ -110,9 +104,6 @@ pub struct OspfDomain {
     attach: Box<[(u32, u64)]>,
     metric: CostMetric,
     cache: Mutex<SptCache>,
-    /// The full per-destination table installed by `warm_full_table`;
-    /// once set it is immutable and read lock-free.
-    frozen: OnceLock<Box<[Spt]>>,
 }
 
 struct SptCache {
@@ -126,7 +117,7 @@ impl OspfDomain {
     /// Build a domain over `members` of `net`, using only links whose
     /// both endpoints are members (intra-domain links).
     pub fn new(net: &Network, members: Vec<NodeId>, metric: CostMetric) -> Self {
-        Self::with_cache_capacity(net, members, metric, 1024)
+        Self::with_link_filter(net, members, metric, |_| true)
     }
 
     /// Like [`OspfDomain::new`] with an explicit SPT cache capacity.
@@ -136,19 +127,20 @@ impl OspfDomain {
         metric: CostMetric,
         cache_capacity: usize,
     ) -> Self {
-        Self::with_link_filter(net, members, metric, cache_capacity, |_| true)
+        let mut domain = Self::new(net, members, metric);
+        domain.cache.get_mut().capacity = cache_capacity.max(1);
+        domain
     }
 
-    /// Like [`OspfDomain::with_cache_capacity`] but only links for which
-    /// `alive(link)` holds enter the adjacency — the reconvergence
-    /// primitive of the fault subsystem: rebuilding a domain with dead
-    /// links (or all links of a crashed router) filtered out yields the
-    /// post-fault shortest-path trees.
+    /// Like [`OspfDomain::new`] but only links for which `alive(link)`
+    /// holds enter the adjacency — the reconvergence primitive of the
+    /// fault subsystem: rebuilding a domain with dead links (or all
+    /// links of a crashed router) filtered out yields the post-fault
+    /// shortest-path trees.
     pub fn with_link_filter(
         net: &Network,
         members: Vec<NodeId>,
         metric: CostMetric,
-        cache_capacity: usize,
         alive: impl Fn(&massf_topology::Link) -> bool,
     ) -> Self {
         let mut local_of = vec![u32::MAX; net.node_count()];
@@ -233,10 +225,9 @@ impl OspfDomain {
             cache: Mutex::new(SptCache {
                 map: HashMap::new(),
                 order: VecDeque::new(),
-                capacity: cache_capacity.max(1),
+                capacity: 1024, // destinations; see `with_cache_capacity`
                 scratch: SptScratch::default(),
             }),
-            frozen: OnceLock::new(),
         }
     }
 
@@ -256,7 +247,7 @@ impl OspfDomain {
     }
 
     /// Number of core (non-aggregated) members — the size of every SPT
-    /// parent array and of the warmed table's destination axis.
+    /// parent array.
     pub fn core_count(&self) -> usize {
         self.core_member.len()
     }
@@ -307,37 +298,7 @@ impl OspfDomain {
         Spt { parent }
     }
 
-    /// Precompute the SPT of every *core* destination on the shared
-    /// worker pool (aggregated leaves need none — see the module docs)
-    /// and freeze the result into a lock-free read-only table (the
-    /// bounded lazy cache is bypassed from then on, so warming is never
-    /// undone by eviction and post-warm queries take no lock).
-    ///
-    /// Each destination's Dijkstra is independent and deterministic, so
-    /// the warmed table is identical at any thread count; subsequent
-    /// `path`/`next_hop`/`distance` queries are pure table reads.
-    /// Idempotent: a second call (even concurrent) is a no-op.
-    pub fn warm_full_table(&self) {
-        if self.frozen.get().is_some() {
-            return;
-        }
-        let n = self.core_member.len();
-        // Chunked fan-out so each worker reuses one Dijkstra scratch
-        // (dist buffer + heap) across all its destinations.
-        let spts: Vec<Spt> = massf_parutil::par_map_chunks(n, |range| {
-            let mut scratch = SptScratch::default();
-            range
-                .map(|dst| self.compute_spt(dst as u32, &mut scratch))
-                .collect()
-        });
-        let _ = self.frozen.set(spts.into_boxed_slice());
-    }
-
     fn with_spt<R>(&self, dst_local: u32, f: impl FnOnce(&Spt) -> R) -> R {
-        // Warmed table: immutable, no lock.
-        if let Some(table) = self.frozen.get() {
-            return f(&table[dst_local as usize]);
-        }
         let mut cache = self.cache.lock();
         if !cache.map.contains_key(&dst_local) {
             let cache = &mut *cache;
@@ -675,20 +636,26 @@ mod tests {
         assert_eq!(p01, Some(vec![ids[0], ids[1]]));
     }
 
-    #[test]
-    fn warm_full_table_matches_lazy_queries() {
-        let (net, ids) = diamond();
-        let lazy = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
-        // Warming must survive a tiny configured capacity (it grows it).
-        let warmed = OspfDomain::with_cache_capacity(&net, ids.clone(), CostMetric::Latency, 1);
-        warmed.warm_full_table();
-        for &s in &ids {
-            for &d in &ids {
-                assert_eq!(lazy.path(s, d), warmed.path(s, d));
-                assert_eq!(lazy.distance(s, d), warmed.distance(s, d));
-                assert_eq!(lazy.next_hop(s, d), warmed.next_hop(s, d));
+    /// Every pair's `path`, `distance` and `next_hop` agree between a
+    /// capacity-1 domain (which evicts on every new destination) and a
+    /// default-capacity one.
+    fn assert_eviction_invisible(net: &Network, members: &[NodeId]) {
+        let cached = OspfDomain::new(net, members.to_vec(), CostMetric::Latency);
+        let evicting =
+            OspfDomain::with_cache_capacity(net, members.to_vec(), CostMetric::Latency, 1);
+        for &s in members {
+            for &t in members {
+                assert_eq!(cached.path(s, t), evicting.path(s, t), "{s:?}→{t:?}");
+                assert_eq!(cached.distance(s, t), evicting.distance(s, t));
+                assert_eq!(cached.next_hop(s, t), evicting.next_hop(s, t));
             }
         }
+    }
+
+    #[test]
+    fn capacity_one_matches_default_capacity() {
+        let (net, ids) = diamond();
+        assert_eviction_invisible(&net, &ids);
     }
 
     #[test]
@@ -713,9 +680,8 @@ mod tests {
             .find(|l| (l.a, l.b) == (ids[0], ids[1]) || (l.a, l.b) == (ids[1], ids[0]))
             .expect("diamond has a 0-1 link")
             .id;
-        let d = OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, 1024, |l| {
-            l.id != dead
-        });
+        let d =
+            OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, |l| l.id != dead);
         assert_eq!(
             d.path(ids[0], ids[3]),
             Some(vec![ids[0], ids[2], ids[3]]),
@@ -776,22 +742,13 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_hosts_survive_warm_and_faults() {
+    fn aggregated_hosts_survive_eviction_and_faults() {
         let (net, routers, members) = diamond_with_hosts();
-        let lazy = OspfDomain::new(&net, members.clone(), CostMetric::Latency);
-        let warmed = OspfDomain::with_cache_capacity(&net, members.clone(), CostMetric::Latency, 1);
-        warmed.warm_full_table();
-        for &s in &members {
-            for &t in &members {
-                assert_eq!(lazy.path(s, t), warmed.path(s, t), "{s:?}→{t:?}");
-                assert_eq!(lazy.distance(s, t), warmed.distance(s, t));
-                assert_eq!(lazy.next_hop(s, t), warmed.next_hop(s, t));
-            }
-        }
+        assert_eviction_invisible(&net, &members);
         // Kill h3's access link: the host becomes an unreachable
         // (isolated, hence core) member; everyone else still routes.
         let h3 = members[6];
-        let faulted = OspfDomain::with_link_filter(&net, members, CostMetric::Latency, 1024, |l| {
+        let faulted = OspfDomain::with_link_filter(&net, members, CostMetric::Latency, |l| {
             l.a != h3 && l.b != h3
         });
         assert_eq!(faulted.path(routers[0], h3), None);
@@ -804,7 +761,7 @@ mod tests {
     fn link_filter_can_disconnect() {
         let (net, ids) = diamond();
         // Kill both of node 3's links: it becomes unreachable.
-        let d = OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, 1024, |l| {
+        let d = OspfDomain::with_link_filter(&net, ids.clone(), CostMetric::Latency, |l| {
             l.a != ids[3] && l.b != ids[3]
         });
         assert_eq!(d.path(ids[0], ids[3]), None);

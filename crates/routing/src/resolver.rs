@@ -15,7 +15,7 @@
 use crate::bgp::BgpRib;
 use crate::ospf::{CostMetric, OspfDomain};
 use massf_topology::mabrite::MultiAsNetwork;
-use massf_topology::{AsClass, MassfError, MultiAsTopologyConfig, Network, NodeId};
+use massf_topology::{AsClass, MassfError, Network, NodeId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -60,9 +60,20 @@ pub struct FlatResolver {
 impl FlatResolver {
     /// Cover every node of `net` with one OSPF domain.
     pub fn new(net: &Network, metric: CostMetric) -> Self {
+        Self::with_link_filter(net, metric, |_| true)
+    }
+
+    /// Like [`FlatResolver::new`] over only the links for which
+    /// `alive(link)` holds (see [`OspfDomain::with_link_filter`]): the
+    /// resolver of a fault epoch.
+    pub fn with_link_filter(
+        net: &Network,
+        metric: CostMetric,
+        alive: impl Fn(&massf_topology::Link) -> bool,
+    ) -> Self {
         let members = net.nodes.iter().map(|n| n.id).collect();
         FlatResolver {
-            domain: OspfDomain::new(net, members, metric),
+            domain: OspfDomain::with_link_filter(net, members, metric, alive),
         }
     }
 
@@ -101,9 +112,9 @@ pub struct MultiAsResolver {
 }
 
 impl MultiAsResolver {
-    /// Build from a generated multi-AS network. `cfg` is only used for
-    /// documentation-parity; pass the config used for generation.
-    pub fn new(m: &MultiAsNetwork, metric: CostMetric, _cfg: &MultiAsTopologyConfig) -> Self {
+    /// Build from a generated multi-AS network, with stub default
+    /// routing enabled.
+    pub fn new(m: &MultiAsNetwork, metric: CostMetric) -> Self {
         Self::with_options(m, metric, true)
     }
 

@@ -381,7 +381,14 @@ pub fn scan_source(path: &str, krate: &str, src: &str, cfg: &Config) -> Vec<Viol
     let (toks, comments) = lex(src);
     let lines: Vec<&str> = src.lines().collect();
 
-    let in_test = test_regions(&toks);
+    // Parsed once: the item tree's test-only spans mask D1/D2/D3/S1/S2
+    // below, and its fn bodies feed the D4/D5 passes.
+    let items = crate::parser::parse(&toks);
+    let items = crate::parser::flatten(&items);
+    let mut in_test = vec![false; toks.len()];
+    for item in items.iter().filter(|item| item.is_test) {
+        in_test[item.span.0..item.span.1].fill(true);
+    }
     let sup = parse_suppressions(&comments);
     let hash_idents = collect_hash_idents(&toks);
 
@@ -578,8 +585,7 @@ pub fn scan_source(path: &str, krate: &str, src: &str, cfg: &Config) -> Vec<Viol
     }
 
     // D4 / D5: scope-aware passes over each non-test fn body.
-    let items = crate::parser::parse(&toks);
-    for item in crate::parser::flatten(&items) {
+    for item in items {
         if item.kind != crate::parser::ItemKind::Fn || item.is_test {
             continue;
         }
@@ -1209,91 +1215,6 @@ fn for_loop_over_ident(toks: &[Tok], i: usize) -> Option<(String, u32, u32)> {
         Some(last) if !expect_ident => Some((last.text.clone(), last.line, last.col)),
         _ => None,
     }
-}
-
-/// Mark tokens inside `#[cfg(test)]` items and `#[test]` functions.
-fn test_regions(toks: &[Tok]) -> Vec<bool> {
-    let mut in_test = vec![false; toks.len()];
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].text == "#" && toks.get(i + 1).map(|t| t.text.as_str()) == Some("[") {
-            // Collect the attribute tokens up to the matching `]`.
-            let mut j = i + 2;
-            let mut depth = 1usize;
-            let mut attr: Vec<&str> = Vec::new();
-            while j < toks.len() && depth > 0 {
-                match toks[j].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => depth -= 1,
-                    t => attr.push(t),
-                }
-                j += 1;
-            }
-            let is_test_attr = matches!(attr.as_slice(), ["test"])
-                || (attr.first() == Some(&"cfg")
-                    && attr.contains(&"test")
-                    && !attr.contains(&"not"));
-            if is_test_attr {
-                // Skip further attributes, then mark to the end of the
-                // annotated item (its brace-balanced body, or `;`).
-                let mut k = j;
-                while k < toks.len()
-                    && toks[k].text == "#"
-                    && toks.get(k + 1).map(|t| t.text.as_str()) == Some("[")
-                {
-                    let mut d = 0usize;
-                    loop {
-                        match toks.get(k).map(|t| t.text.as_str()) {
-                            Some("[") => d += 1,
-                            Some("]") => {
-                                d -= 1;
-                                if d == 0 {
-                                    k += 1;
-                                    break;
-                                }
-                            }
-                            None => break,
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                }
-                let body_start = k;
-                let mut brace = 0usize;
-                let mut opened = false;
-                while k < toks.len() {
-                    match toks[k].text.as_str() {
-                        "{" => {
-                            brace += 1;
-                            opened = true;
-                        }
-                        "}" => {
-                            brace = brace.saturating_sub(1);
-                        }
-                        ";" if !opened => break, // e.g. `#[cfg(test)] use …;`
-                        _ => {}
-                    }
-                    k += 1;
-                    if opened && brace == 0 {
-                        break;
-                    }
-                }
-                for flag in in_test.iter_mut().take(k).skip(body_start.min(i)) {
-                    *flag = true;
-                }
-                // Also cover the attribute itself.
-                for flag in in_test.iter_mut().take(j).skip(i) {
-                    *flag = true;
-                }
-                i = k;
-                continue;
-            }
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    in_test
 }
 
 /// Identifiers declared (or initialized) with a hash-collection type

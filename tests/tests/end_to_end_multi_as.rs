@@ -86,7 +86,7 @@ fn multi_as_routing_agrees_with_packet_delivery() {
 
     let cfg = Scale::Tiny.multi_as_config(13);
     let m = generate_multi_as_network(&cfg);
-    let resolver = Arc::new(MultiAsResolver::new(&m, CostMetric::Latency, &cfg));
+    let resolver = Arc::new(MultiAsResolver::new(&m, CostMetric::Latency));
     let hosts = m.network.host_ids();
 
     let mut agent = Agent::new();

@@ -7,13 +7,19 @@
 //!    TCP retransmission fails over to the reconverged path.
 //! 3. A crashed router with no alternative path makes flows abort with
 //!    a structured reason within the retry budget instead of hanging.
+//! 4. Every flat fault epoch routes exactly as a fresh resolver over the
+//!    network with that epoch's dead links and dead routers' links
+//!    removed (an independent reference for reconvergence).
 
 use massf_engine::SimTime;
 use massf_netsim::{
     AbortReason, AppLogic, FaultScript, FaultState, FlowId, NetEvent, NetSimBuilder, NoApp, SimApi,
 };
-use massf_routing::CostMetric;
-use massf_topology::{AsId, LinkId, Network, NodeId, NodeKind, Point};
+use massf_routing::{CostMetric, FlatResolver, PathResolver};
+use massf_topology::{
+    generate_flat_network, AsId, FlatTopologyConfig, LinkId, Network, NodeId, NodeKind, Point,
+};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 /// ha — r0 — r1 — hb with a detour r0 — r2 — r1. The primary r0–r1 hop
@@ -252,4 +258,90 @@ fn fault_free_script_changes_nothing() {
     assert_eq!(a.profile, b.profile);
     assert_eq!(a.stats.total_events, b.stats.total_events);
     assert_eq!(faults.reconvergence_count(), 0);
+}
+
+/// `net` with only the links `alive` keeps, added in their original
+/// order over the same node ids.
+fn without_links(net: &Network, alive: impl Fn(&massf_topology::Link) -> bool) -> Network {
+    let mut out = Network::new();
+    for n in &net.nodes {
+        out.add_node(n.kind, n.position, n.as_id);
+    }
+    for l in net.links.iter().filter(|l| alive(l)) {
+        out.add_link(l.a, l.b, l.bandwidth_bps, l.latency_ms);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random link-down/up and router crash/recover scripts: each
+    /// epoch's resolver equals `FlatResolver::new` on a copy of the
+    /// network without that epoch's dead links and dead routers' links.
+    /// Link ids are renumbered in the copy; the SPT tie-break depends
+    /// only on node indices, so paths cannot change because of that.
+    #[test]
+    fn flat_epochs_route_like_a_fresh_resolver_without_dead_links(
+        routers in 6usize..24,
+        seed in 0u64..500,
+        // (is a router crash toggle, link or router pick); the i-th
+        // toggle fires at (i + 1) × 10 ms.
+        toggles in proptest::collection::vec((any::<bool>(), any::<usize>()), 1..12),
+        pairs in proptest::collection::vec((any::<usize>(), any::<usize>()), 1..24),
+    ) {
+        let net = generate_flat_network(&FlatTopologyConfig {
+            routers,
+            hosts: 10,
+            metro_count: 3,
+            seed,
+            ..FlatTopologyConfig::default()
+        });
+        let router_ids = net.router_ids();
+        let mut link_up = vec![true; net.links.len()];
+        let mut node_up = vec![true; net.node_count()];
+        let mut script = FaultScript::new();
+        for (i, &(crash, pick)) in toggles.iter().enumerate() {
+            let at = SimTime::from_ms(10 * (i as u64 + 1));
+            if crash {
+                let r = router_ids[pick % router_ids.len()];
+                if node_up[r.index()] {
+                    script.router_crash(at, r);
+                } else {
+                    script.router_recover(at, r);
+                }
+                node_up[r.index()] = !node_up[r.index()];
+            } else {
+                let l = net.links[pick % net.links.len()].id;
+                if link_up[l.index()] {
+                    script.link_down(at, l);
+                } else {
+                    script.link_up(at, l);
+                }
+                link_up[l.index()] = !link_up[l.index()];
+            }
+        }
+        let faults = FaultState::flat(&net, CostMetric::Latency, script)
+            .expect("toggle scripts validate");
+        let hosts = net.host_ids();
+        for e in 0..faults.epoch_count() {
+            let state = faults.epoch_state(e);
+            let dead_node = |n: NodeId| state.dead_nodes.contains(&n.0);
+            let reference = FlatResolver::new(
+                &without_links(&net, |l| {
+                    !state.dead_links.contains(&l.id.0) && !dead_node(l.a) && !dead_node(l.b)
+                }),
+                CostMetric::Latency,
+            );
+            let resolver = faults.resolver_for_epoch(e);
+            for &(i, j) in &pairs {
+                let (s, d) = (hosts[i % hosts.len()], hosts[j % hosts.len()]);
+                prop_assert_eq!(
+                    resolver.route(s, d),
+                    reference.route(s, d),
+                    "epoch {} diverged for {:?}→{:?}", e, s, d
+                );
+            }
+        }
+    }
 }

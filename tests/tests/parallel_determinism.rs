@@ -1,7 +1,8 @@
 //! Determinism regression tests for the shared worker-pool layer:
-//! every parallelized phase — the HPROF threshold sweep, OSPF table
-//! warming, and multi-AS resolver construction — must produce results
-//! bit-identical to its sequential execution, at any thread count.
+//! every parallelized phase — the HPROF threshold sweep, concurrent
+//! OSPF queries, and multi-AS resolver construction — must produce
+//! results bit-identical to its sequential execution, at any thread
+//! count.
 //!
 //! These pin the ISSUE's acceptance criterion that figure output is
 //! byte-identical across `--threads` settings: all figure numbers
@@ -80,6 +81,9 @@ fn full_suite_rows_identical_across_thread_counts() {
     assert_eq!(run(1), run(4));
 }
 
+/// Concurrent lazy SPT queries from the worker pool, through a small
+/// cache that evicts under contention, answer exactly as one thread
+/// does.
 #[test]
 fn ospf_full_table_identical_across_thread_counts() {
     let scenario = tiny_single_as(3);
@@ -87,15 +91,15 @@ fn ospf_full_table_identical_across_thread_counts() {
     let members: Vec<_> = net.nodes.iter().map(|n| n.id).collect();
     let table_at = |threads: usize| {
         with_threads(threads, || {
-            let d = OspfDomain::new(net, members.clone(), CostMetric::Latency);
-            d.warm_full_table();
-            let mut table = Vec::new();
-            for &s in &members {
-                for &t in members.iter().step_by(7) {
-                    table.push((d.next_hop(s, t), d.distance(s, t)));
-                }
-            }
-            table
+            let d = OspfDomain::with_cache_capacity(net, members.clone(), CostMetric::Latency, 4);
+            massf_parutil::par_map_indexed(members.len(), |i| {
+                let s = members[i];
+                members
+                    .iter()
+                    .step_by(7)
+                    .map(|&t| (d.next_hop(s, t), d.distance(s, t)))
+                    .collect::<Vec<_>>()
+            })
         })
     };
     let seq = table_at(1);
@@ -116,9 +120,9 @@ fn fault_injected_run_identical_across_thread_counts() {
     let hosts = net.host_ids();
     let collision = SimTime::from_ms(50);
 
-    // Fresh per run: epoch resolvers are built lazily (and, with PR 1's
-    // pool, in parallel), so each run must reconverge at its own thread
-    // count rather than inherit tables warmed by a previous run.
+    // Fresh per run: epoch resolvers and their shortest-path trees are
+    // built lazily, so each run must reconverge at its own thread count
+    // rather than inherit trees computed by a previous run.
     let make_faults = || {
         let mut script = FaultScript::new();
         script.link_down(collision, net.links[0].id);
@@ -258,7 +262,7 @@ fn multi_as_resolver_identical_across_thread_counts() {
     let hosts = m.network.host_ids();
     let routes_at = |threads: usize| {
         with_threads(threads, || {
-            let r = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+            let r = MultiAsResolver::new(&m, CostMetric::Latency);
             let mut routes = Vec::new();
             for &a in &hosts {
                 for &b in hosts.iter().step_by(5) {

@@ -76,9 +76,9 @@ proptest! {
         };
         let m = generate_multi_as_network(&cfg);
         let hosts = m.network.host_ids();
-        let uncached = MultiAsResolver::new(&m, CostMetric::Latency, &cfg);
+        let uncached = MultiAsResolver::new(&m, CostMetric::Latency);
         let cached = CachedResolver::new(
-            MultiAsResolver::new(&m, CostMetric::Latency, &cfg),
+            MultiAsResolver::new(&m, CostMetric::Latency),
             m.network.node_count(),
             cap,
         );
