@@ -13,7 +13,9 @@
 //! `--smoke` runs a fast self-checking mode (used by scripts/check.sh):
 //! cached and uncached resolution must return identical paths on every
 //! topology variant, under eviction pressure (capacity 1) and with the
-//! cache disabled (capacity 0).
+//! cache disabled (capacity 0); and, for every cost metric, a resolver
+//! warmed with `b → a` must answer `a → b` (possibly from the tree of
+//! `a`) exactly as a cold resolver does.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use massf_core::prelude::*;
@@ -188,8 +190,29 @@ criterion_group!(
     bench_faulted_epochs
 );
 
+/// Reverse-order pass: `warm` answers each pair's `d → s` before its
+/// `s → d`, so the second query may be answered from the tree of `s`;
+/// both answers must equal `cold()`'s, a fresh resolver whose only
+/// tree is the destination's.
+fn check_reverse_warm<R: PathResolver>(
+    label: &str,
+    warm: &dyn PathResolver,
+    cold: impl Fn() -> R,
+    pairs: &[(NodeId, NodeId)],
+) {
+    for &(s, d) in pairs {
+        for (x, y) in [(d, s), (s, d)] {
+            assert_eq!(
+                warm.route(x, y),
+                cold().route(x, y),
+                "{label}: {x:?}→{y:?} diverged from a cold resolver"
+            );
+        }
+    }
+}
+
 /// `--smoke`: fast self-checking correctness pass for scripts/check.sh.
-/// Panics on any cached/uncached divergence.
+/// Panics on any cached/uncached or warm/cold divergence.
 fn run_smoke() {
     // Flat network, every capacity regime.
     let net = flat_network(120);
@@ -296,6 +319,47 @@ fn run_smoke() {
         }
     }
     assert!(stats.hits > 0, "epoch replay must hit");
+
+    // Tree reuse, for every metric: flat, multi-AS, and the first
+    // fault epoch with a dead link.
+    let e = (0..faults.epoch_count())
+        .find(|&e| !faults.epoch_state(e).dead_links.is_empty())
+        .expect("a flap script has an epoch with a dead link");
+    let dead = &faults.epoch_state(e).dead_links;
+    let alive = |l: &massf_topology::Link| dead.binary_search(&l.id.0).is_err();
+    for metric in [
+        CostMetric::Latency,
+        CostMetric::Hop,
+        CostMetric::InverseBandwidth,
+    ] {
+        let warm = FlatResolver::new(&net, metric);
+        check_reverse_warm("flat", &warm, || FlatResolver::new(&net, metric), &set);
+        if metric == CostMetric::Latency {
+            // Latency costs leave no ties here: reuse must show.
+            let anchors: std::collections::BTreeSet<NodeId> = set
+                .iter()
+                .flat_map(|&(s, d)| [s, d])
+                .map(|h| net.host_attachment(h).unwrap_or(h))
+                .collect();
+            assert!(
+                (warm.spt_builds() as usize) < anchors.len(),
+                "{} trees for {} endpoint anchors: no reuse",
+                warm.spt_builds(),
+                anchors.len()
+            );
+        }
+        let warm = MultiAsResolver::new(&m, metric);
+        check_reverse_warm(
+            "multi-AS",
+            &warm,
+            || MultiAsResolver::new(&m, metric),
+            &mset,
+        );
+        let efaults = FaultState::flat(&fnet, metric, faults.script().clone())
+            .expect("random_link_flaps scripts validate");
+        let cold = || FlatResolver::with_link_filter(&fnet, metric, alive);
+        check_reverse_warm("fault epoch", &**efaults.resolver_for_epoch(e), cold, &fset);
+    }
     println!("route_resolution smoke checks passed");
 }
 

@@ -13,9 +13,44 @@
 //! index of the next hop from member `i` toward the destination, which
 //! doubles as the next-hop table, and distances are recomputed on demand
 //! by walking parents and summing link costs (4 bytes per node per
-//! destination instead of 12). Computed SPTs live in a bounded FIFO
-//! cache behind a mutex, which also holds the Dijkstra scratch buffers
-//! reused across computations.
+//! destination instead of 12), plus one tie bit per node (below).
+//! Computed SPTs live in a bounded FIFO cache of shared (`Arc`) trees.
+//! Its mutex guards only lookup and insert: Dijkstra runs outside it on
+//! per-build buffers, and callers walk a tree after releasing the lock,
+//! so threads build and read trees in parallel. Threads racing on one
+//! destination both build the same tree; the first insert wins.
+//!
+//! ## Answering `a → b` from the tree of `a`
+//!
+//! A query `a → b` walks `SPT(b)` from `a`. When `SPT(b)` is not cached
+//! but `SPT(a)` is, the query is answered from `SPT(a)`'s walk
+//! `b → … → a`, reversed, provided the shortest `a`–`b` path is unique;
+//! a TCP flow asks for both directions, so this builds one tree per flow
+//! instead of two. Call a neighbour `v` of node `u` *optimal* when
+//! `dist(v) + cost(v, u) = dist(u)` toward the tree's root. Dijkstra
+//! records a *tie bit* per node: set when a second, distinct neighbour
+//! relaxes the node to its final distance (parallel links to one
+//! neighbour are not ties), cleared by a strict improvement. Every node
+//! relaxes all its neighbours once, at its final distance, so the bit
+//! is set exactly when the node has two distinct optimal neighbours.
+//!
+//! *Proof that the reversed walk is the `SPT(b)` answer.* Let
+//! `W = b, w₁, …, a` be `SPT(a)`'s walk, with no tie bit on any node
+//! before `a`, and let `P = b, p₁, …, a` be any shortest `b`–`a` path.
+//! Every suffix of a shortest path is shortest, so `p₁` is an optimal
+//! neighbour of `b`; `b` has only one, its parent `w₁`. By induction
+//! `P = W`: the shortest path is unique. Parents never form a cycle (a
+//! settled node keeps its parent), so `SPT(b)`'s walk from `a` is a
+//! shortest path too, and with undirected, symmetric costs it is `W`
+//! reversed — whatever tie-break either tree used. A walk that meets a
+//! tie bit, or does not reach `a`, falls back to `SPT(b)`.
+//!
+//! Which trees exist therefore depends on the query order, including
+//! how partitions interleave — as FIFO eviction already did. Answers do
+//! not: each is a pure function of the network and the metric, so
+//! paths, the route-cache counters and every engine and netsim counter
+//! are the same for any order. [`OspfDomain::next_hop`] and
+//! [`OspfDomain::distance`] always use `SPT(b)`.
 //!
 //! ## Host aggregation
 //!
@@ -35,6 +70,8 @@
 use massf_topology::{Network, NodeId, NodeKind};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Link cost metric for SPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,28 +100,57 @@ impl CostMetric {
 
 /// A destination's shortest-path tree, stored as a flat parent array —
 /// the parent *is* the next hop toward the destination, and distances
-/// are recovered by walking parents (see the module docs).
-#[derive(Debug, Clone)]
+/// are recovered by walking parents (see the module docs) — plus one
+/// tie bit per core member.
+#[derive(Debug)]
 struct Spt {
     /// `parent[i]` = core index of next hop from core member `i` toward
     /// the destination; `u32::MAX` when unreachable or at the
     /// destination. Aggregated leaves have no row — they resolve through
     /// their attach router's.
     parent: Box<[u32]>,
+    /// Bit `i` set: core member `i` has two distinct optimal neighbours
+    /// toward the destination (see the module docs; parallel links to
+    /// one neighbour are not ties). The root's bit carries no meaning.
+    tie: Box<[u64]>,
 }
 
-/// Reusable Dijkstra working memory: one allocation per domain instead
-/// of one per computed destination.
-#[derive(Default)]
-struct SptScratch {
-    dist: Vec<u64>,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+impl Spt {
+    fn is_tied(&self, i: u32) -> bool {
+        self.tie[i as usize / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Is the walk `from → … → root` (`from` ≠ root) the *only* shortest
+    /// path between the two? True when `from` reaches the root and no
+    /// node on the walk before the root has a tie bit.
+    fn is_unique_walk(&self, from: u32, root: u32) -> bool {
+        let mut cur = from;
+        while cur != root {
+            if self.is_tied(cur) || self.parent[cur as usize] == u32::MAX {
+                return false;
+            }
+            cur = self.parent[cur as usize];
+        }
+        true
+    }
 }
 
 /// An OSPF routing domain over a subset of a [`Network`]'s nodes.
 ///
-/// Queries are thread-safe: lazily computed SPTs sit in a bounded FIFO
-/// cache behind a mutex.
+/// Queries are thread-safe. Lazily computed SPTs sit in a bounded FIFO
+/// cache of shared trees; its mutex guards only the lookup and the
+/// insert, so Dijkstra and every walk run unlocked and partitions build
+/// trees in parallel. Two threads that race on one destination both
+/// compute the (identical) tree and the first insert wins.
+///
+/// [`OspfDomain::path`] answers `a → b` from the cached tree of `b`, or,
+/// when only `a`'s tree is cached and the shortest path is unique, from
+/// that tree's walk `b → a` reversed (see the module docs). Which trees
+/// get built therefore depends on the query order, and across
+/// partitions on their interleaving — as FIFO eviction already did —
+/// but every answer is a pure function of the network and the metric,
+/// so paths, `RouteCacheStats` and every engine and netsim counter do
+/// not depend on it. Only [`OspfDomain::spt_builds`] does.
 pub struct OspfDomain {
     /// Member nodes (routers and hosts of the domain), defining local
     /// indices.
@@ -104,13 +170,14 @@ pub struct OspfDomain {
     attach: Box<[(u32, u64)]>,
     metric: CostMetric,
     cache: Mutex<SptCache>,
+    /// Dijkstra runs so far (racing builds of one tree count twice).
+    spt_builds: AtomicU64,
 }
 
 struct SptCache {
-    map: HashMap<u32, Spt>, // keyed by destination *core* index
-    order: VecDeque<u32>,   // FIFO for eviction
+    map: HashMap<u32, Arc<Spt>>, // keyed by destination *core* index
+    order: VecDeque<u32>,        // FIFO for eviction
     capacity: usize,
-    scratch: SptScratch, // reused across lazy Dijkstra runs
 }
 
 impl OspfDomain {
@@ -226,8 +293,8 @@ impl OspfDomain {
                 map: HashMap::new(),
                 order: VecDeque::new(),
                 capacity: 1024, // destinations; see `with_cache_capacity`
-                scratch: SptScratch::default(),
             }),
+            spt_builds: AtomicU64::new(0),
         }
     }
 
@@ -252,6 +319,13 @@ impl OspfDomain {
         self.core_member.len()
     }
 
+    /// Shortest-path trees computed so far (Dijkstra runs, including
+    /// rebuilds after eviction). A structural count: it depends on the
+    /// query order, which answers never do.
+    pub fn spt_builds(&self) -> u64 {
+        self.spt_builds.load(Ordering::Relaxed)
+    }
+
     /// The `NodeId` behind a core index.
     fn core_node(&self, c: u32) -> NodeId {
         self.members[self.core_member[c as usize] as usize]
@@ -269,49 +343,76 @@ impl OspfDomain {
         }
     }
 
-    fn compute_spt(&self, dst_local: u32, scratch: &mut SptScratch) -> Spt {
+    fn compute_spt(&self, dst: u32) -> Spt {
+        self.spt_builds.fetch_add(1, Ordering::Relaxed);
         let n = self.core_member.len();
-        scratch.dist.clear();
-        scratch.dist.resize(n, u64::MAX);
-        scratch.heap.clear();
-        let dist = &mut scratch.dist;
-        let heap = &mut scratch.heap;
+        let mut dist = vec![u64::MAX; n];
+        let mut settled = vec![false; n];
+        let mut heap = BinaryHeap::new();
         let mut parent = vec![u32::MAX; n].into_boxed_slice();
-        dist[dst_local as usize] = 0;
-        heap.push(std::cmp::Reverse((0, dst_local)));
+        let mut tie = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        dist[dst as usize] = 0;
+        heap.push(std::cmp::Reverse((0, dst)));
         while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if d > dist[v as usize] {
-                continue;
+            if std::mem::replace(&mut settled[v as usize], true) {
+                continue; // stale entry
             }
             for &(u, c) in &self.adj[v as usize] {
-                let nd = d + c;
-                // Deterministic tie-break: strictly better distance, or
-                // equal distance with a lower-indexed parent.
-                let ud = dist[u as usize];
-                if nd < ud || (nd == ud && v < parent[u as usize]) {
-                    dist[u as usize] = nd;
-                    parent[u as usize] = v;
+                let (nd, ui) = (d + c, u as usize);
+                let (word, bit) = (ui / 64, 1u64 << (ui % 64));
+                if nd < dist[ui] {
+                    dist[ui] = nd;
+                    parent[ui] = v;
+                    tie[word] &= !bit;
                     heap.push(std::cmp::Reverse((nd, u)));
+                } else if nd == dist[ui] && v != parent[ui] {
+                    tie[word] |= bit;
+                    // Deterministic tie-break: the lower-indexed parent.
+                    // A settled node keeps its parent, so zero-cost links
+                    // cannot close a parent cycle (with positive costs no
+                    // settled node ever sees an equal relaxation).
+                    if v < parent[ui] && !settled[ui] {
+                        parent[ui] = v;
+                    }
                 }
             }
         }
-        Spt { parent }
+        Spt { parent, tie }
     }
 
-    fn with_spt<R>(&self, dst_local: u32, f: impl FnOnce(&Spt) -> R) -> R {
+    /// The tree toward `dst`: cached, or built and inserted.
+    fn spt(&self, dst: u32) -> Arc<Spt> {
+        let cached = self.cache.lock().map.get(&dst).cloned();
+        cached.unwrap_or_else(|| self.build_spt(dst))
+    }
+
+    /// Build the tree toward `dst` outside the lock, then insert it
+    /// (evicting FIFO at capacity). When a racing build inserted first,
+    /// its identical tree is kept and returned.
+    fn build_spt(&self, dst: u32) -> Arc<Spt> {
+        let spt = Arc::new(self.compute_spt(dst));
         let mut cache = self.cache.lock();
-        if !cache.map.contains_key(&dst_local) {
-            let cache = &mut *cache;
-            let spt = self.compute_spt(dst_local, &mut cache.scratch);
-            if cache.map.len() >= cache.capacity {
-                if let Some(old) = cache.order.pop_front() {
-                    cache.map.remove(&old);
-                }
-            }
-            cache.order.push_back(dst_local);
-            cache.map.insert(dst_local, spt);
+        if let Some(first) = cache.map.get(&dst) {
+            return Arc::clone(first);
         }
-        f(&cache.map[&dst_local])
+        if cache.map.len() >= cache.capacity {
+            if let Some(old) = cache.order.pop_front() {
+                cache.map.remove(&old);
+            }
+        }
+        cache.order.push_back(dst);
+        cache.map.insert(dst, Arc::clone(&spt));
+        spt
+    }
+
+    /// One lock acquisition: the cached tree toward `b` (tagged `false`),
+    /// else the cached tree toward `a` (tagged `true`), else `None`.
+    fn cached_tree_of_either(&self, b: u32, a: u32) -> Option<(Arc<Spt>, bool)> {
+        let cache = self.cache.lock();
+        match cache.map.get(&b) {
+            Some(spt) => Some((Arc::clone(spt), false)),
+            None => cache.map.get(&a).map(|spt| (Arc::clone(spt), true)),
+        }
     }
 
     /// Cheapest direct-edge cost `from → to`; both must be adjacent
@@ -338,7 +439,7 @@ impl OspfDomain {
         if self.core_of[ls as usize] == u32::MAX {
             // Aggregated leaf: its only edge goes to the attach router —
             // the answer whenever `dst` is reachable at all.
-            let reachable = a == b || self.with_spt(b, |spt| spt.parent[a as usize] != u32::MAX);
+            let reachable = a == b || self.spt(b).parent[a as usize] != u32::MAX;
             return reachable.then(|| self.core_node(a));
         }
         if a == b {
@@ -346,10 +447,8 @@ impl OspfDomain {
             // core–core case): one access-link hop remains.
             return Some(dst);
         }
-        self.with_spt(b, |spt| {
-            let p = spt.parent[a as usize];
-            (p != u32::MAX).then(|| self.core_node(p))
-        })
+        let p = self.spt(b).parent[a as usize];
+        (p != u32::MAX).then(|| self.core_node(p))
     }
 
     /// Full shortest path `src → … → dst` (inclusive), or `None` if
@@ -424,27 +523,43 @@ impl OspfDomain {
             }
             return true;
         }
-        self.with_spt(b, |spt| {
-            if spt.parent[a as usize] == u32::MAX {
-                return false;
+        // The core walk a → … → b comes from SPT(b); when only SPT(a) is
+        // cached and the shortest path is unique, it is SPT(a)'s walk
+        // b → … → a reversed (the same nodes — see the module docs).
+        let (spt, reversed) = match self.cached_tree_of_either(b, a) {
+            Some((spt, false)) => (spt, false),
+            Some((spt, true)) if spt.is_unique_walk(b, a) => (spt, true),
+            _ => (self.build_spt(b), false),
+        };
+        let (from, to) = if reversed { (b, a) } else { (a, b) };
+        if spt.parent[from as usize] == u32::MAX {
+            return false;
+        }
+        out.reserve(fixed + walk_len(&spt.parent, from, to));
+        if !skip_src {
+            out.push(src);
+        }
+        if src_is_leaf {
+            out.push(self.core_node(a));
+        }
+        let mut cur = from;
+        if reversed {
+            let start = out.len();
+            while cur != to {
+                out.push(self.core_node(cur));
+                cur = spt.parent[cur as usize];
             }
-            out.reserve(fixed + walk_len(&spt.parent, a, b));
-            if !skip_src {
-                out.push(src);
-            }
-            if src_is_leaf {
-                out.push(self.core_node(a));
-            }
-            let mut cur = a;
-            while cur != b {
+            out[start..].reverse();
+        } else {
+            while cur != to {
                 cur = spt.parent[cur as usize];
                 out.push(self.core_node(cur));
             }
-            if dst_is_leaf {
-                out.push(dst);
-            }
-            true
-        })
+        }
+        if dst_is_leaf {
+            out.push(dst);
+        }
+        true
     }
 
     /// Shortest distance (in metric units), or `None` if unreachable.
@@ -465,19 +580,18 @@ impl OspfDomain {
         if a == b {
             return Some(ca + cb);
         }
-        self.with_spt(b, |spt| {
-            if spt.parent[a as usize] == u32::MAX {
-                return None;
-            }
-            let mut total = ca + cb;
-            let mut cur = a;
-            while cur != b {
-                let p = spt.parent[cur as usize];
-                total += self.min_edge_cost(cur, p);
-                cur = p;
-            }
-            Some(total)
-        })
+        let spt = self.spt(b);
+        if spt.parent[a as usize] == u32::MAX {
+            return None;
+        }
+        let mut total = ca + cb;
+        let mut cur = a;
+        while cur != b {
+            let p = spt.parent[cur as usize];
+            total += self.min_edge_cost(cur, p);
+            cur = p;
+        }
+        Some(total)
     }
 }
 
@@ -766,5 +880,165 @@ mod tests {
         });
         assert_eq!(d.path(ids[0], ids[3]), None);
         assert_eq!(d.path(ids[0], ids[1]), Some(vec![ids[0], ids[1]]));
+    }
+
+    /// Routers `0..n` on a line (positions only; no links).
+    fn routers(n: usize) -> (Network, Vec<NodeId>) {
+        let mut net = Network::new();
+        let ids = (0..n)
+            .map(|i| net.add_node(NodeKind::Router, Point::new(i as f64, 0.0), AsId(0)))
+            .collect();
+        (net, ids)
+    }
+
+    /// One warm domain answers every ordered pair, each reverse query
+    /// `t → s` just before its forward query `s → t`; every answer must
+    /// equal a cold domain's, which can only walk the destination's
+    /// tree. Returns the warm domain's tree count.
+    fn assert_reuse_invisible(net: &Network, members: &[NodeId], metric: CostMetric) -> u64 {
+        let warm = OspfDomain::new(net, members.to_vec(), metric);
+        for (i, &s) in members.iter().enumerate() {
+            for &t in &members[i + 1..] {
+                for (x, y) in [(t, s), (s, t)] {
+                    let cold = OspfDomain::new(net, members.to_vec(), metric);
+                    assert_eq!(warm.path(x, y), cold.path(x, y), "{metric:?} {x:?}→{y:?}");
+                }
+            }
+        }
+        warm.spt_builds()
+    }
+
+    #[test]
+    fn reverse_query_reuses_the_source_tree() {
+        let (net, ids) = diamond();
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        assert_eq!(d.path(ids[3], ids[0]), Some(vec![ids[3], ids[1], ids[0]]));
+        assert_eq!(d.spt_builds(), 1);
+        // SPT(3) is not cached; SPT(0)'s walk 3 → 1 → 0 is tie-free.
+        let cold = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        assert_eq!(d.path(ids[0], ids[3]), cold.path(ids[0], ids[3]));
+        assert_eq!(d.spt_builds(), 1);
+        // `next_hop` and `distance` always read the destination's tree.
+        assert_eq!(d.next_hop(ids[0], ids[3]), Some(ids[1]));
+        assert_eq!(d.spt_builds(), 2);
+
+        // Aggregated hosts compose around the reversed core walk.
+        let (net, routers, members) = diamond_with_hosts();
+        let d = OspfDomain::new(&net, members.clone(), CostMetric::Latency);
+        let (h0, h3) = (members[4], members[6]);
+        assert_eq!(
+            d.path(h3, h0),
+            Some(vec![h3, routers[3], routers[1], routers[0], h0])
+        );
+        assert_eq!(
+            d.path(h0, h3),
+            Some(vec![h0, routers[0], routers[1], routers[3], h3])
+        );
+        assert_eq!(d.spt_builds(), 1);
+    }
+
+    #[test]
+    fn hop_ties_fall_back_to_the_destination_tree() {
+        // 4-cycle 0-1-2-3-0 by hop count: 2 reaches 0 via 1 or via 3.
+        let (mut net, ids) = routers(4);
+        for i in 0..4 {
+            net.add_link(ids[i], ids[(i + 1) % 4], 1e9, 1.0);
+        }
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Hop);
+        let cold =
+            |s: NodeId, t: NodeId| OspfDomain::new(&net, ids.clone(), CostMetric::Hop).path(s, t);
+        assert_eq!(d.path(ids[2], ids[0]), cold(ids[2], ids[0]));
+        assert_eq!(d.spt_builds(), 1);
+        // Node 2 is tied in SPT(0): the query builds SPT(2).
+        assert_eq!(d.path(ids[0], ids[2]), cold(ids[0], ids[2]));
+        assert_eq!(d.spt_builds(), 2);
+        // SPT(0)'s walk 1 → 0 is tie-free: 0 → 1 reuses it.
+        assert_eq!(d.path(ids[0], ids[1]), cold(ids[0], ids[1]));
+        assert_eq!(d.spt_builds(), 2);
+        assert_reuse_invisible(&net, &ids, CostMetric::Hop);
+    }
+
+    #[test]
+    fn zero_cost_links_keep_walks_finite_and_answers_unchanged() {
+        // Latency cost is in whole nanoseconds, so this link costs 0.
+        const ZERO_COST_MS: f64 = 1e-7;
+        // A zero-cost spur 0 on router 2, whose route to 3 runs 2-1-3:
+        // the spur relaxes 2 at 2's own distance after 2 is settled,
+        // which must neither re-parent 2 (a 2 ↔ 0 parent cycle) nor
+        // hide the route.
+        let (mut net, ids) = routers(4);
+        net.add_link(ids[2], ids[0], 1e9, ZERO_COST_MS);
+        net.add_link(ids[2], ids[1], 1e9, 1.0);
+        net.add_link(ids[1], ids[3], 1e9, 1.0);
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        assert_eq!(d.path(ids[2], ids[3]), Some(vec![ids[2], ids[1], ids[3]]));
+        assert_eq!(
+            d.path(ids[0], ids[3]),
+            Some(vec![ids[0], ids[2], ids[1], ids[3]])
+        );
+        assert_eq!(d.distance(ids[0], ids[3]), Some(2_000_000));
+        assert_reuse_invisible(&net, &ids, CostMetric::Latency);
+
+        // Zero-cost links on both sides of an equal-cost square (0 → 3
+        // costs 1 ms via 1 and via 2), with zero-cost spurs.
+        let (mut net, ids) = routers(7);
+        net.add_link(ids[0], ids[1], 1e9, ZERO_COST_MS);
+        net.add_link(ids[1], ids[3], 1e9, 1.0);
+        net.add_link(ids[0], ids[2], 1e9, 1.0);
+        net.add_link(ids[2], ids[3], 1e9, ZERO_COST_MS);
+        net.add_link(ids[3], ids[4], 1e9, ZERO_COST_MS);
+        net.add_link(ids[4], ids[5], 1e9, 2.0);
+        net.add_link(ids[1], ids[6], 1e9, ZERO_COST_MS);
+        assert_reuse_invisible(&net, &ids, CostMetric::Latency);
+    }
+
+    #[test]
+    fn parallel_links_are_not_ties() {
+        // Chain 0 = 1 = 2 with equal-cost parallel links on 0-1 and
+        // unequal ones on 1-2: the path is unique either way.
+        let (mut net, ids) = routers(3);
+        net.add_link(ids[0], ids[1], 1e9, 1.0);
+        net.add_link(ids[0], ids[1], 1e9, 1.0);
+        net.add_link(ids[1], ids[2], 1e9, 3.0);
+        net.add_link(ids[1], ids[2], 1e9, 1.0);
+        let d = OspfDomain::new(&net, ids.clone(), CostMetric::Latency);
+        assert_eq!(d.path(ids[2], ids[0]), Some(vec![ids[2], ids[1], ids[0]]));
+        assert_eq!(d.path(ids[0], ids[2]), Some(vec![ids[0], ids[1], ids[2]]));
+        assert_eq!(d.spt_builds(), 1);
+        for metric in [CostMetric::Hop, CostMetric::Latency] {
+            assert_reuse_invisible(&net, &ids, metric);
+        }
+    }
+
+    #[test]
+    fn reuse_is_invisible_on_random_graphs_for_every_metric() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let n = 24;
+        let (mut net, ids) = routers(n);
+        for i in 0..n {
+            net.add_link(ids[i], ids[(i + 1) % n], 1e9, rng.gen_range(0.1..5.0));
+        }
+        for _ in 0..20 {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if i != j {
+                // Bandwidth tiers make InverseBandwidth ties common too.
+                let bw = [1e9, 2.5e9][rng.gen_range(0..2usize)];
+                net.add_link(ids[i], ids[j], bw, rng.gen_range(0.1..5.0));
+            }
+        }
+        for metric in [
+            CostMetric::Latency,
+            CostMetric::Hop,
+            CostMetric::InverseBandwidth,
+        ] {
+            let builds = assert_reuse_invisible(&net, &ids, metric);
+            if metric == CostMetric::Latency {
+                // No ties among random latencies: every query to the
+                // last node is answered from its source's tree.
+                assert!(builds < n as u64, "{builds} trees for {n} nodes");
+            }
+        }
     }
 }

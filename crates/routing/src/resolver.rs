@@ -81,6 +81,11 @@ impl FlatResolver {
     pub fn domain(&self) -> &OspfDomain {
         &self.domain
     }
+
+    /// Shortest-path trees built so far (see [`OspfDomain::spt_builds`]).
+    pub fn spt_builds(&self) -> u64 {
+        self.domain.spt_builds()
+    }
 }
 
 impl PathResolver for FlatResolver {

@@ -56,9 +56,12 @@ fn pick_preferential(
     candidates: &[NodeId],
     exclude: NodeId,
 ) -> Option<NodeId> {
+    // `has_link(exclude, c)` scans the new node's short link list (at
+    // most m entries) rather than the candidate's, which for hubs runs
+    // to hundreds.
     let total: usize = candidates
         .iter()
-        .filter(|&&c| c != exclude && !net.has_link(c, exclude))
+        .filter(|&&c| c != exclude && !net.has_link(exclude, c))
         .map(|&c| net.degree(c) + 1)
         .sum();
     if total == 0 {
@@ -66,7 +69,7 @@ fn pick_preferential(
     }
     let mut ticket = rng.gen_range(0..total);
     for &c in candidates {
-        if c == exclude || net.has_link(c, exclude) {
+        if c == exclude || net.has_link(exclude, c) {
             continue;
         }
         let w = net.degree(c) + 1;
@@ -299,6 +302,39 @@ mod tests {
             assert_eq!(net.degree(h), 1);
             assert!(net.host_attachment(h).is_some());
         }
+    }
+
+    /// FNV-1a over every link's endpoints, latency bits and bandwidth
+    /// bits, in link order.
+    fn link_list_hash(net: &Network) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for l in &net.links {
+            for word in [
+                l.a.index() as u64,
+                l.b.index() as u64,
+                l.latency_ms.to_bits(),
+                l.bandwidth_bps.to_bits(),
+            ] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The generators' output is pinned bit for bit: any change to the
+    /// preferential-attachment scan must produce the same networks.
+    #[test]
+    fn tiny_link_lists_are_pinned() {
+        let flat = gen_tiny();
+        let multi = crate::generate_multi_as_network(&crate::MultiAsTopologyConfig::tiny());
+        assert_eq!(link_list_hash(&flat), 10_912_745_147_781_548_337, "flat");
+        assert_eq!(
+            link_list_hash(&multi.network),
+            10_506_411_901_739_835_164,
+            "multi-AS"
+        );
     }
 
     #[test]
