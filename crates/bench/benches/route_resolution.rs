@@ -12,8 +12,8 @@
 //! Unlike the other benches this one has a hand-rolled `main` so that
 //! `--smoke` runs a fast self-checking mode (used by scripts/check.sh):
 //! cached and uncached resolution must return identical paths on every
-//! topology variant, under eviction pressure (capacity 1) and with the
-//! cache disabled (capacity 0); and, for every cost metric, a resolver
+//! topology variant, including under eviction pressure (capacity 1);
+//! and, for every cost metric, a resolver
 //! warmed with `b → a` must answer `a → b` (possibly from the tree of
 //! `a`) exactly as a cold resolver does.
 
@@ -21,8 +21,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use massf_core::prelude::*;
 use massf_netsim::{FaultScript, FaultState};
 use massf_routing::{
-    CachedResolver, CostMetric, FlatResolver, MultiAsResolver, PathResolver, RouteCache,
-    RouteCacheStats,
+    CostMetric, FlatResolver, MultiAsResolver, PathResolver, RouteCache, RouteCacheStats,
 };
 use std::sync::Arc;
 
@@ -72,6 +71,33 @@ fn drive(resolver: &dyn PathResolver, pairs: &[(NodeId, NodeId)]) -> usize {
     hops
 }
 
+/// Resolve `s → d` through `cache` in front of `resolver` the way the
+/// netsim world does: epoch 0, counters into `stats`.
+fn cached_route(
+    cache: &mut RouteCache,
+    stats: &mut RouteCacheStats,
+    resolver: &dyn PathResolver,
+    s: NodeId,
+    d: NodeId,
+) -> Option<Arc<[NodeId]>> {
+    cache.get_or_insert_with(stats, 0, s, d, || resolver.route_arc(s, d))
+}
+
+/// [`drive`] through `cache` (see [`cached_route`]).
+fn drive_cached(
+    cache: &mut RouteCache,
+    stats: &mut RouteCacheStats,
+    resolver: &dyn PathResolver,
+    pairs: &[(NodeId, NodeId)],
+) -> usize {
+    let mut hops = 0usize;
+    for i in 0..QUERIES {
+        let (s, d) = pairs[i % pairs.len()];
+        hops += cached_route(cache, stats, resolver, s, d).map_or(0, |p| p.len());
+    }
+    hops
+}
+
 fn bench_flat_repeated_pairs(c: &mut Criterion) {
     let net = flat_network(2_000);
     let hosts = net.host_ids();
@@ -80,31 +106,31 @@ fn bench_flat_repeated_pairs(c: &mut Criterion) {
     // Warm the SPT table once so both rows measure query cost, not
     // Dijkstra build cost.
     let _ = drive(&uncached, &set);
-    let cached = CachedResolver::new(
-        FlatResolver::new(&net, CostMetric::Latency),
-        net.node_count(),
-        128,
-    );
-    let _ = drive(&cached, &set);
+    let inner = FlatResolver::new(&net, CostMetric::Latency);
+    let mut cache = RouteCache::new(net.node_count(), 128);
+    let mut stats = RouteCacheStats::default();
+    let _ = drive_cached(&mut cache, &mut stats, &inner, &set);
 
     let mut group = c.benchmark_group("flat_2k_repeated_pairs");
     group.sample_size(40);
     group.bench_function("uncached", |b| b.iter(|| drive(&uncached, &set)));
-    group.bench_function("cached_warm", |b| b.iter(|| drive(&cached, &set)));
+    group.bench_function("cached_warm", |b| {
+        b.iter(|| drive_cached(&mut cache, &mut stats, &inner, &set))
+    });
     group.bench_function("cached_cold", |b| {
         b.iter(|| {
             // Fresh cache (over the already-warmed resolver) every
             // iteration: all-miss first pass, then hits — isolates the
             // cache machinery's cold-start overhead from SPT builds.
-            let r = CachedResolver::new(&uncached, net.node_count(), 128);
-            drive(&r, &set)
+            let mut cold = RouteCache::new(net.node_count(), 128);
+            let mut cold_stats = RouteCacheStats::default();
+            drive_cached(&mut cold, &mut cold_stats, &uncached, &set)
         })
     });
     group.finish();
     eprintln!(
-        "flat cached stats: {:?} ({:.1}% hit rate)",
-        cached.stats(),
-        cached.stats().hit_rate() * 100.0
+        "flat cached stats: {stats:?} ({:.1}% hit rate)",
+        stats.hit_rate() * 100.0
     );
 }
 
@@ -115,17 +141,17 @@ fn bench_multi_as_repeated_pairs(c: &mut Criterion) {
     let set = pairs(&hosts, PAIRS);
     let uncached = MultiAsResolver::new(&m, CostMetric::Latency);
     let _ = drive(&uncached, &set);
-    let cached = CachedResolver::new(
-        MultiAsResolver::new(&m, CostMetric::Latency),
-        m.network.node_count(),
-        128,
-    );
-    let _ = drive(&cached, &set);
+    let inner = MultiAsResolver::new(&m, CostMetric::Latency);
+    let mut cache = RouteCache::new(m.network.node_count(), 128);
+    let mut stats = RouteCacheStats::default();
+    let _ = drive_cached(&mut cache, &mut stats, &inner, &set);
 
     let mut group = c.benchmark_group("multi_as_50_repeated_pairs");
     group.sample_size(30);
     group.bench_function("uncached", |b| b.iter(|| drive(&uncached, &set)));
-    group.bench_function("cached_warm", |b| b.iter(|| drive(&cached, &set)));
+    group.bench_function("cached_warm", |b| {
+        b.iter(|| drive_cached(&mut cache, &mut stats, &inner, &set))
+    });
     group.finish();
 }
 
@@ -219,16 +245,16 @@ fn run_smoke() {
     let hosts = net.host_ids();
     let set = pairs(&hosts, 24);
     let uncached = FlatResolver::new(&net, CostMetric::Latency);
-    for capacity in [0usize, 1, 4, 128] {
-        let cached = CachedResolver::new(
-            FlatResolver::new(&net, CostMetric::Latency),
-            net.node_count(),
-            capacity,
-        );
+    for capacity in [1usize, 4, 128] {
+        let inner = FlatResolver::new(&net, CostMetric::Latency);
+        let mut cache = RouteCache::new(net.node_count(), capacity);
+        let mut stats = RouteCacheStats::default();
+        let mut cached =
+            |s, d| cached_route(&mut cache, &mut stats, &inner, s, d).map(|p| p.to_vec());
         for pass in 0..3 {
             for &(s, d) in &set {
                 let want = uncached.route(s, d);
-                let got = cached.route_arc(s, d).map(|p| p.to_vec());
+                let got = cached(s, d);
                 assert_eq!(
                     want, got,
                     "flat cap {capacity} pass {pass}: cached diverged for {s:?}→{d:?}"
@@ -245,18 +271,14 @@ fn run_smoke() {
                 for d in [d0, d1] {
                     assert_eq!(
                         uncached.route(s, d),
-                        cached.route_arc(s, d).map(|p| p.to_vec()),
+                        cached(s, d),
                         "capacity-1 thrash diverged for {s:?}→{d:?}"
                     );
                 }
             }
-            assert!(cached.stats().evictions > 0, "capacity 1 must evict");
-        }
-        let stats = cached.stats();
-        match capacity {
-            0 => assert_eq!(stats, Default::default(), "disabled cache moved counters"),
-            1 => {}
-            _ => assert!(stats.hits > 0, "repeated pairs must hit at cap {capacity}"),
+            assert!(stats.evictions > 0, "capacity 1 must evict");
+        } else {
+            assert!(stats.hits > 0, "repeated pairs must hit at cap {capacity}");
         }
     }
 
@@ -271,21 +293,19 @@ fn run_smoke() {
     let mhosts = m.network.host_ids();
     let mset = pairs(&mhosts, 24);
     let muncached = MultiAsResolver::new(&m, CostMetric::Latency);
-    let mcached = CachedResolver::new(
-        MultiAsResolver::new(&m, CostMetric::Latency),
-        m.network.node_count(),
-        16,
-    );
+    let minner = MultiAsResolver::new(&m, CostMetric::Latency);
+    let mut mcache = RouteCache::new(m.network.node_count(), 16);
+    let mut mstats = RouteCacheStats::default();
     for _ in 0..2 {
         for &(s, d) in &mset {
             assert_eq!(
                 muncached.route(s, d),
-                mcached.route_arc(s, d).map(|p| p.to_vec()),
+                cached_route(&mut mcache, &mut mstats, &minner, s, d).map(|p| p.to_vec()),
                 "multi-AS cached diverged for {s:?}→{d:?}"
             );
         }
     }
-    assert!(mcached.stats().hits > 0);
+    assert!(mstats.hits > 0);
 
     // Fault epochs: cached answers must match the epoch's own resolver.
     let fnet = flat_network(120);

@@ -30,9 +30,7 @@
 use massf_bench::HarnessOptions;
 use massf_core::prelude::*;
 use massf_engine::LpId;
-use massf_netsim::{
-    Agent, NetEvent, NetSimBuilder, NoApp, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
-};
+use massf_netsim::{Agent, NetEvent, NetSimBuilder, NoApp, SimOutput, MAX_RETRIES};
 use massf_routing::{CostMetric, FlatResolver};
 use massf_snapshot::{recover_latest, scenario_fingerprint, ExecMode, Session};
 use rand::{Rng, SeedableRng};
@@ -237,8 +235,7 @@ fn main() {
         std::env::temp_dir().join(format!("massf-checkpoint-study-{}", std::process::id()));
     std::fs::create_dir_all(&snap_dir).expect("snapshot dir");
     let snap_path = snap_dir.join("prefix.snap");
-    let fingerprint =
-        scenario_fingerprint(&shared, &initial, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES);
+    let fingerprint = scenario_fingerprint(&shared, &initial, MAX_RETRIES);
     struct BranchMode {
         prefix_ms: f64,
         save_ms: f64,
@@ -255,12 +252,7 @@ fn main() {
     }
     let run_branch_mode = || -> BranchMode {
         let t_prefix = Instant::now();
-        let mut trunk = Session::new(
-            shared.clone(),
-            initial.clone(),
-            DEFAULT_ROUTE_CACHE_CAPACITY,
-            MAX_RETRIES,
-        );
+        let mut trunk = Session::new(shared.clone(), initial.clone(), MAX_RETRIES);
         trunk
             .run_until(branch_at, &ExecMode::Sequential)
             .expect("prefix segment runs");

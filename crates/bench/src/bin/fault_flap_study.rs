@@ -35,10 +35,10 @@ use massf_core::prelude::*;
 use massf_engine::RebalanceConfig;
 use massf_netsim::{
     Agent, FaultScript, FaultState, NetSimBuilder, NoApp, ProfileData, SimOutput,
-    DEFAULT_ROUTE_CACHE_CAPACITY, FLUID_CONTROL_DELAY, MAX_RETRIES,
+    FLUID_CONTROL_DELAY, MAX_RETRIES,
 };
 use massf_routing::{CostMetric, FlatResolver};
-use massf_snapshot::{RebalancePolicy, Session};
+use massf_snapshot::Session;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -431,29 +431,22 @@ fn main() {
     // pinned off (threshold u64::MAX), so the comparison shares the
     // exact epoch segmentation. See rebalance_study for the full sweep.
     if let Some(epoch) = opts.rebalance_epoch {
-        let adaptive_policy = RebalancePolicy {
-            cfg: RebalanceConfig {
-                epoch,
-                threshold_permille: opts.rebalance_threshold,
-                ..RebalanceConfig::default()
-            },
-            ..RebalancePolicy::default()
+        let adaptive_policy = RebalanceConfig {
+            epoch,
+            threshold_permille: opts.rebalance_threshold,
+            ..RebalanceConfig::default()
         };
-        let static_policy = RebalancePolicy {
-            cfg: RebalanceConfig {
-                threshold_permille: u64::MAX,
-                ..adaptive_policy.cfg
-            },
+        let static_policy = RebalanceConfig {
+            threshold_permille: u64::MAX,
             ..adaptive_policy
         };
-        let run_driver = |policy: RebalancePolicy| {
+        let run_driver = |policy: RebalanceConfig| {
             let mut builder = NetSimBuilder::new_with_faults(net.clone(), faults.clone());
             builder.max_retries(opts.max_retries);
             builder.add_agent(traffic(&hosts, duration, flows, seed));
             let mut session = Session::new_rebalancing(
                 builder.shared(),
                 builder.initial_events(),
-                DEFAULT_ROUTE_CACHE_CAPACITY,
                 opts.max_retries,
                 policy,
                 map_clean.partition.assignment.clone(),

@@ -42,12 +42,9 @@
 use massf_bench::HarnessOptions;
 use massf_core::prelude::*;
 use massf_engine::RebalanceConfig;
-use massf_netsim::{
-    Agent, FaultScript, FaultState, NetSimBuilder, NoApp, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY,
-    MAX_RETRIES,
-};
+use massf_netsim::{Agent, FaultScript, FaultState, NetSimBuilder, NoApp, SimOutput, MAX_RETRIES};
 use massf_routing::{CostMetric, FlatResolver};
-use massf_snapshot::{RebalanceOutcome, RebalancePolicy, Session};
+use massf_snapshot::{RebalanceOutcome, Session};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -180,14 +177,13 @@ struct DriverRun {
 
 fn run_driver(
     builder: &NetSimBuilder,
-    policy: RebalancePolicy,
+    policy: RebalanceConfig,
     assignment: Vec<u32>,
     duration: SimTime,
 ) -> DriverRun {
     let mut session = Session::new_rebalancing(
         builder.shared(),
         builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
         MAX_RETRIES,
         policy,
         assignment,
@@ -305,21 +301,15 @@ fn main() {
     } else {
         scale.run_duration().max(SimTime::from_secs(10))
     };
-    let policy = RebalancePolicy {
-        cfg: RebalanceConfig {
-            epoch: opts.epoch,
-            threshold_permille: opts.threshold,
-            max_moves: opts.max_moves,
-        },
-        ..RebalancePolicy::default()
+    let policy = RebalanceConfig {
+        epoch: opts.epoch,
+        threshold_permille: opts.threshold,
+        max_moves: opts.max_moves,
     };
-    let static_policy = RebalancePolicy {
-        cfg: RebalanceConfig {
-            // Same epoch segmentation, trigger can never fire: this is
-            // the static mapping measured through the identical driver.
-            threshold_permille: u64::MAX,
-            ..policy.cfg
-        },
+    let static_policy = RebalanceConfig {
+        // Same epoch segmentation, trigger can never fire: this is the
+        // static mapping measured through the identical driver.
+        threshold_permille: u64::MAX,
         ..policy
     };
 

@@ -4,7 +4,7 @@
 //! The executors keep event *payloads* out of their priority queues:
 //! each pending event's payload lives in a slot of an [`EventArena`]
 //! owned by the executing thread, and the heap orders compact
-//! [`QueuedEvent`] entries (time, tag, target, handle — 32 bytes)
+//! `QueuedEvent` entries (time, tag, target, handle — 32 bytes)
 //! instead of full `EventRecord`s. Slots are recycled through a LIFO
 //! free list the moment their event executes, which generalizes the
 //! outbox buffer ping-pong of the parallel executor (recycled at window

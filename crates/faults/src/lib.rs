@@ -19,7 +19,7 @@
 //!   bit-identical across thread counts: any partition asking at any
 //!   wall-clock moment gets the same answer.
 //!
-//! Routing reconverges *online*: each epoch's [`PathResolver`] is built
+//! Routing reconverges *online*: each epoch's [`PathResolver`](massf_routing::PathResolver) is built
 //! lazily (behind a `OnceLock`) the first time the epoch is routed in —
 //! for flat single-AS worlds by rebuilding the OSPF domain with dead
 //! links filtered out (`FlatResolver::with_link_filter`, whose

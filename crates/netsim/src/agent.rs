@@ -8,7 +8,7 @@
 //! registered (by workload models, trace replayers, or tests) and turned
 //! into engine events at simulation start.
 
-use crate::fluid::{FLUID_COORDINATOR, FLUID_UNBOUNDED};
+use crate::fluid::FLUID_COORDINATOR;
 use crate::packet::NetEvent;
 use crate::world::TransportKind;
 use massf_engine::{LpId, SimTime};
@@ -31,7 +31,8 @@ pub struct FluidInjection {
     pub src: NodeId,
     pub dst: NodeId,
     pub bytes: u64,
-    /// Demand cap in bits/s; [`FLUID_UNBOUNDED`] = bottleneck-limited.
+    /// Demand cap in bits/s; `0` = bottleneck-limited (the
+    /// [`NetEvent::FluidStart`] encoding).
     pub peak_bps: u64,
 }
 
@@ -78,12 +79,13 @@ impl Agent {
             src,
             dst,
             bytes,
-            peak_bps: FLUID_UNBOUNDED,
+            peak_bps: 0,
         });
     }
 
     /// Register a fluid background flow whose demand is capped at
-    /// `peak_bps` bits/s (matching link bandwidth units).
+    /// `peak_bps` bits/s (matching link bandwidth units; `0` = uncapped,
+    /// as in [`crate::NetSimBuilder::add_fluid_flow`]).
     pub fn inject_fluid_capped(
         &mut self,
         at: SimTime,
@@ -155,12 +157,7 @@ impl Agent {
                     src: i.src,
                     dst: i.dst,
                     bytes: i.bytes,
-                    // `peak_bps == 0` is the unbounded wire encoding.
-                    peak_bps: if i.peak_bps == FLUID_UNBOUNDED {
-                        0
-                    } else {
-                        i.peak_bps
-                    },
+                    peak_bps: i.peak_bps,
                 },
             )
         }));
@@ -190,6 +187,24 @@ mod tests {
             events[1].2,
             NetEvent::StartFlow { bytes: 1000, .. }
         ));
+    }
+
+    #[test]
+    fn fluid_injections_pass_the_demand_cap_through() {
+        let mut agent = Agent::new();
+        agent.inject_fluid(SimTime::from_ms(1), NodeId(1), NodeId(2), 10);
+        agent.inject_fluid_capped(SimTime::from_ms(2), NodeId(1), NodeId(2), 10, u64::MAX);
+        let caps: Vec<u64> = agent
+            .into_initial_events()
+            .into_iter()
+            .map(|(_, lp, ev)| match ev {
+                NetEvent::FluidStart { peak_bps, .. } if lp == LpId(FLUID_COORDINATOR.0) => {
+                    peak_bps
+                }
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(caps, [0, u64::MAX], "0 is the one uncapped encoding");
     }
 
     #[test]

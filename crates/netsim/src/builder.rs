@@ -8,7 +8,7 @@ use crate::agent::Agent;
 use crate::fluid::FLUID_COORDINATOR;
 use crate::packet::NetEvent;
 use crate::profiling::ProfileData;
-use crate::world::{AppLogic, NetWorld, SharedNet, DEFAULT_ROUTE_CACHE_CAPACITY};
+use crate::world::{AppLogic, NetWorld, SharedNet};
 use massf_engine::{
     run_parallel, run_sequential, BarrierObserver, ExecutionStats, LpId, MassfError, ResumeState,
     SimTime,
@@ -35,7 +35,6 @@ pub struct SimOutput<A> {
 pub struct NetSimBuilder {
     shared: Arc<SharedNet>,
     initial: Vec<(SimTime, LpId, NetEvent)>,
-    route_cache_capacity: usize,
     max_retries: u32,
 }
 
@@ -45,7 +44,6 @@ impl NetSimBuilder {
         NetSimBuilder {
             shared: SharedNet::new(net, resolver),
             initial: Vec::new(),
-            route_cache_capacity: DEFAULT_ROUTE_CACHE_CAPACITY,
             max_retries: crate::tcp::MAX_RETRIES,
         }
     }
@@ -60,18 +58,8 @@ impl NetSimBuilder {
         NetSimBuilder {
             shared: SharedNet::with_faults(net, faults),
             initial: Vec::new(),
-            route_cache_capacity: DEFAULT_ROUTE_CACHE_CAPACITY,
             max_retries: crate::tcp::MAX_RETRIES,
         }
-    }
-
-    /// Per-source route-cache capacity for the worlds this builder
-    /// runs; `0` disables route caching (every resolve goes straight to
-    /// the resolver). Simulation results are bit-identical either way —
-    /// only the `route_cache` profile counters and resolve cost differ.
-    pub fn route_cache_capacity(&mut self, per_src: usize) -> &mut Self {
-        self.route_cache_capacity = per_src;
-        self
     }
 
     /// TCP retry budget for every flow in the worlds this builder runs:
@@ -221,12 +209,7 @@ impl NetSimBuilder {
         end: SimTime,
         trace: Option<(SimTime, &[u32], usize)>,
     ) -> SimOutput<A> {
-        let mut world = NetWorld::with_config(
-            self.shared.clone(),
-            app,
-            self.route_cache_capacity,
-            self.max_retries,
-        );
+        let mut world = NetWorld::with_max_retries(self.shared.clone(), app, self.max_retries);
         let (stats, _) = run_sequential(&mut world, self.seeded(), end, trace)
             .expect("sequential run input is well-formed (see # Panics)");
         let (profile, app) = world.into_parts();
@@ -260,14 +243,7 @@ impl NetSimBuilder {
         observer: &O,
     ) -> Result<SimOutput<A>, MassfError> {
         let shards: Vec<NetWorld<A>> = (0..partitions)
-            .map(|_| {
-                NetWorld::with_config(
-                    self.shared.clone(),
-                    app.clone(),
-                    self.route_cache_capacity,
-                    self.max_retries,
-                )
-            })
+            .map(|_| NetWorld::with_max_retries(self.shared.clone(), app.clone(), self.max_retries))
             .collect();
         let (shards, stats, _) =
             run_parallel(shards, assignment, self.seeded(), end, window, observer)?;

@@ -41,7 +41,7 @@
 //! [`NetEvent::FluidFinish`] — the alarm fires early, notices the flow
 //! is unfinished, and re-arms at the exact current rate. A rate
 //! *increase* reschedules only past 25 % hysteresis
-//! ([`REARM_NUM`]`/`[`REARM_DEN`]), bounding completion lateness to
+//! (`REARM_NUM / REARM_DEN`), bounding completion lateness to
 //! the same factor (quantified by the `fluid_fidelity` bench). Flows
 //! whose fair share is zero park without any pending event and are
 //! re-armed by the next solve that touches their links.
@@ -78,8 +78,9 @@ pub const FLUID_CONTROL_DELAY: SimTime = SimTime::from_ms(1);
 /// packet load per link direction for the packet → fluid feedback.
 pub const FLUID_EST_WINDOW: SimTime = SimTime::from_ms(10);
 
-/// Demand sentinel: the flow takes whatever its bottleneck grants.
-pub const FLUID_UNBOUNDED: u64 = u64::MAX;
+/// Stored-demand sentinel (bytes/s): the flow takes whatever its
+/// bottleneck grants. Requests spell this `peak_bps == 0`.
+pub(crate) const FLUID_UNBOUNDED: u64 = u64::MAX;
 
 /// Eager re-arm hysteresis: a rate increase reschedules the armed
 /// finish alarm only when `new ≥ armed · REARM_NUM / REARM_DEN`.
@@ -157,7 +158,7 @@ pub struct FluidFlowEntryState {
     pub flow: FlowId,
     /// Resolved forward path.
     pub path: Vec<NodeId>,
-    /// Demand cap, bytes/s ([`FLUID_UNBOUNDED`] = bottleneck-limited).
+    /// Demand cap, bytes/s (`u64::MAX` = bottleneck-limited).
     pub demand_bps: u64,
     /// Current max-min rate, bytes/s.
     pub rate_bps: u64,

@@ -35,7 +35,7 @@ pub use agent::Agent;
 pub use builder::{NetSimBuilder, SimOutput};
 pub use fluid::{
     FluidFlowEntryState, FluidStats, FluidWorldState, FLUID_CONTROL_DELAY, FLUID_COORDINATOR,
-    FLUID_EST_WINDOW, FLUID_UNBOUNDED,
+    FLUID_EST_WINDOW,
 };
 pub use massf_faults::{FaultEvent, FaultKind, FaultScript, FaultState};
 pub use massf_routing::RouteCacheStats;
@@ -44,5 +44,5 @@ pub use profiling::ProfileData;
 pub use tcp::{AbortReason, TcpSenderState, MAX_RETRIES};
 pub use world::{
     validate_net_event, AppLogic, FlowEntryState, NetWorld, NoApp, ReceiverEntryState, SharedNet,
-    SimApi, TransportKind, WorldState, DEFAULT_ROUTE_CACHE_CAPACITY,
+    SimApi, TransportKind, WorldState,
 };

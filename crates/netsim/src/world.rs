@@ -8,7 +8,7 @@
 //! application state. All cross-node effects are packets (events).
 //!
 //! **Memory layout** (DESIGN.md §3 item 13): per-flow state lives in
-//! struct-of-arrays slabs ([`FlowSlab`], [`ReceiverSlab`]) instead of
+//! struct-of-arrays slabs (`FlowSlab`, `ReceiverSlab`) instead of
 //! per-flow `HashMap` entries, the port table is a sorted CSR adjacency
 //! instead of a `HashMap<(u32, u32), u32>`, and packets carry a single
 //! interned path `Arc` (see [`Packet`]). Slab slot numbers are an
@@ -25,17 +25,14 @@ use crate::profiling::ProfileData;
 use crate::tcp::{AbortReason, SendAction, TcpReceiver, TcpSender, TcpSenderState, MAX_RETRIES};
 use massf_engine::{Emitter, LpId, Model, SimTime};
 use massf_faults::{FaultKind, FaultState};
-use massf_routing::{PathResolver, RouteCache, RouteCacheShardState, RouteCacheState};
+use massf_routing::{PathResolver, RouteCache, RouteCacheShardState};
 use massf_topology::{Link, MassfError, Network, NodeId};
 use std::sync::Arc;
 
-/// Default per-source route-cache capacity (destinations per source
-/// node; see [`RouteCache`]). Sized so even a 20,000-node world stays
-/// within tens of MB of cache while typical workloads — which revisit
-/// far fewer than 128 peers per host — hit on nearly every resolve.
-/// Pass `0` to [`NetWorld::with_route_cache`] /
-/// [`crate::NetSimBuilder::route_cache_capacity`] to disable caching.
-pub const DEFAULT_ROUTE_CACHE_CAPACITY: usize = 128;
+/// Per-source route-cache capacity (destinations per source node; see
+/// [`RouteCache`]). Sized so even a 20,000-node world stays within tens
+/// of MB of cache.
+const ROUTE_CACHE_CAPACITY: usize = 128;
 
 /// Transport protocol selector for injected traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -580,14 +577,14 @@ struct NodeStates {
 }
 
 impl NodeStates {
-    fn new(shared: &SharedNet, route_cache_capacity: usize, max_retries: u32) -> Self {
+    fn new(shared: &SharedNet, max_retries: u32) -> Self {
         let nodes = shared.net.node_count();
         NodeStates {
             flow_counter: vec![0; nodes],
             busy_until: vec![SimTime::ZERO; shared.net.links.len() * 2],
             flows: FlowSlab::new(nodes),
             receivers: ReceiverSlab::new(nodes),
-            route_cache: RouteCache::new(nodes, route_cache_capacity),
+            route_cache: RouteCache::new(nodes, ROUTE_CACHE_CAPACITY),
             action_scratch: Vec::new(),
             max_retries,
             coupling: FluidCoupling::default(),
@@ -607,27 +604,16 @@ pub struct NetWorld<A: AppLogic> {
 
 impl<A: AppLogic> NetWorld<A> {
     /// A world over `shared` with application logic `app` and the
-    /// default route-cache capacity.
+    /// default TCP retry budget ([`MAX_RETRIES`]).
     pub fn new(shared: Arc<SharedNet>, app: A) -> Self {
-        Self::with_route_cache(shared, app, DEFAULT_ROUTE_CACHE_CAPACITY)
+        Self::with_max_retries(shared, app, MAX_RETRIES)
     }
 
-    /// Like [`NetWorld::new`] with an explicit per-source route-cache
-    /// capacity (`0` disables route caching).
-    pub fn with_route_cache(shared: Arc<SharedNet>, app: A, route_cache_capacity: usize) -> Self {
-        Self::with_config(shared, app, route_cache_capacity, MAX_RETRIES)
-    }
-
-    /// Like [`NetWorld::with_route_cache`] with an explicit TCP retry
-    /// budget for every flow opened in this world (see
+    /// Like [`NetWorld::new`] with an explicit TCP retry budget for
+    /// every flow opened in this world (see
     /// [`crate::tcp::TcpSender::with_retries`]).
-    pub fn with_config(
-        shared: Arc<SharedNet>,
-        app: A,
-        route_cache_capacity: usize,
-        max_retries: u32,
-    ) -> Self {
-        let state = NodeStates::new(&shared, route_cache_capacity, max_retries);
+    pub fn with_max_retries(shared: Arc<SharedNet>, app: A, max_retries: u32) -> Self {
+        let state = NodeStates::new(&shared, max_retries);
         let profile = ProfileData::new(shared.net.node_count(), shared.net.links.len());
         NetWorld {
             shared,
@@ -938,9 +924,10 @@ pub struct WorldState {
     pub flows: Vec<FlowEntryState>,
     /// TCP receivers, sorted by `(node, flow)`.
     pub receivers: Vec<ReceiverEntryState>,
-    /// The path-memo cache (content affects only the route-cache profile
-    /// counters, but those participate in bit-identity checks).
-    pub route_cache: RouteCacheState,
+    /// The path-memo cache, one shard per node (content affects only the
+    /// route-cache profile counters, but those participate in
+    /// bit-identity checks).
+    pub route_cache: Vec<RouteCacheShardState>,
     /// Profile counters accumulated up to the export.
     pub profile: ProfileData,
     /// TCP retry budget for flows opened after restore.
@@ -1139,7 +1126,7 @@ impl WorldState {
         for p in parts {
             if p.flow_counter.len() != first.flow_counter.len()
                 || p.busy_until.len() != first.busy_until.len()
-                || p.route_cache.shards.len() != first.route_cache.shards.len()
+                || p.route_cache.len() != first.flow_counter.len()
                 || p.max_retries != first.max_retries
             {
                 return Err(misuse("world-state partitions disagree on shape".into()));
@@ -1181,16 +1168,12 @@ impl WorldState {
         {
             return Err(misuse("two partitions own the same receiver".into()));
         }
-        let shards = first
-            .route_cache
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
+        let route_cache = (0..first.route_cache.len())
+            .map(|i| {
                 let owner = assignment[i] as usize;
                 parts
                     .get(owner)
-                    .map(|p| p.route_cache.shards[i].clone())
+                    .map(|p| p.route_cache[i].clone())
                     .ok_or_else(|| {
                         misuse(format!("node {i} assigned to missing partition {owner}"))
                     })
@@ -1265,10 +1248,7 @@ impl WorldState {
             busy_until,
             flows,
             receivers,
-            route_cache: RouteCacheState {
-                capacity: first.route_cache.capacity,
-                shards,
-            },
+            route_cache,
             profile,
             max_retries: first.max_retries,
             fluid,
@@ -1416,10 +1396,10 @@ impl<A: AppLogic> NetWorld<A> {
         if state.profile.node_packets.len() != nodes || state.profile.link_packets.len() != links {
             return Err(bad("profile dimensions do not match the network".into()));
         }
-        if !state.route_cache.shards.is_empty() && state.route_cache.shards.len() != nodes {
+        if state.route_cache.len() != nodes {
             return Err(bad(format!(
                 "route cache has {} shards, network has {nodes} nodes",
-                state.route_cache.shards.len()
+                state.route_cache.len()
             )));
         }
         let owned = |node: NodeId| match filter {
@@ -1431,30 +1411,26 @@ impl<A: AppLogic> NetWorld<A> {
             Some(_) => {
                 // Unowned shards start empty: their contents belong to
                 // (and will be exported by) other partitions.
-                let filtered = RouteCacheState {
-                    capacity: state.route_cache.capacity,
-                    shards: state
-                        .route_cache
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .map(|(i, sh)| {
-                            // simlint: allow(cast-lossy) -- node index bounded by the u32 node-id space
-                            if owned(NodeId(i as u32)) {
-                                sh.clone()
-                            } else {
-                                RouteCacheShardState {
-                                    entries: Vec::new(),
-                                    queue: Vec::new(),
-                                    stamp: 0,
-                                }
+                let filtered: Vec<RouteCacheShardState> = state
+                    .route_cache
+                    .iter()
+                    .enumerate()
+                    .map(|(i, sh)| {
+                        // simlint: allow(cast-lossy) -- node index bounded by the u32 node-id space
+                        if owned(NodeId(i as u32)) {
+                            sh.clone()
+                        } else {
+                            RouteCacheShardState {
+                                entries: Vec::new(),
+                                queue: Vec::new(),
+                                stamp: 0,
                             }
-                        })
-                        .collect(),
-                };
-                RouteCache::from_state(&filtered)?
+                        }
+                    })
+                    .collect();
+                RouteCache::from_state(&filtered, ROUTE_CACHE_CAPACITY)?
             }
-            None => RouteCache::from_state(&state.route_cache)?,
+            None => RouteCache::from_state(&state.route_cache, ROUTE_CACHE_CAPACITY)?,
         };
 
         let mut flows = FlowSlab::new(nodes);
@@ -2305,6 +2281,17 @@ mod tests {
         let parts: Vec<WorldState> = shards.iter().map(|w| w.export_state()).collect();
         let merged = WorldState::merge_partitions(&parts, &assignment).expect("disjoint parts");
         assert_eq!(merged, seq_state);
+
+        // One route-cache shard per node: a part with an extra shard is
+        // refused, not indexed past the assignment.
+        let mut bad = parts;
+        for p in &mut bad {
+            p.route_cache.push(p.route_cache[0].clone());
+        }
+        assert!(matches!(
+            WorldState::merge_partitions(&bad, &assignment),
+            Err(MassfError::InvalidConfig(_))
+        ));
     }
 
     #[test]

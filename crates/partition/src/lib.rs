@@ -16,7 +16,7 @@
 //!   alternative.
 //! * [`baselines`] — the comparison partitioners from the paper's related
 //!   work: random assignment and the ModelNet greedy k-cluster algorithm.
-//! * [`rebalance`] — RNG-free incremental re-partitioning: bounded
+//! * [`rebalance()`] — RNG-free incremental re-partitioning: bounded
 //!   Kurve-style local moves that perturb an existing assignment against
 //!   a combined load²+cut cost, for online load balancing mid-run.
 //! * [`UnionFind`] — used here for connectivity and exported for the

@@ -4,9 +4,9 @@
 //! Every flow setup, datagram, and fault-epoch RTO failover resolves a
 //! full node-level path; workloads re-ask for the same `(src, dst)`
 //! pairs constantly. [`RouteCache`] memoizes `(src, dst) → Arc<[NodeId]>`
-//! in front of any [`PathResolver`] so repeated pairs skip Dijkstra and
-//! BGP leg stitching entirely and hand out the shared `Arc` without
-//! copying.
+//! in front of any [`PathResolver`](crate::PathResolver) so repeated
+//! pairs skip Dijkstra and BGP leg stitching entirely and hand out the
+//! shared `Arc` without copying.
 //!
 //! ## Determinism
 //!
@@ -28,9 +28,7 @@
 //! results (`None`: destination unreachable under BGP policy or a fault)
 //! are cached too.
 
-use crate::resolver::PathResolver;
 use massf_topology::{MassfError, NodeId};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -100,23 +98,18 @@ impl Shard {
 /// epoch-invalidation arguments.
 pub struct RouteCache {
     shards: Vec<Shard>,
-    /// Max live entries per source shard; 0 disables the cache (every
-    /// query is a pass-through and no counters move).
+    /// Max live entries per source shard (at least 1).
     capacity: usize,
 }
 
 impl RouteCache {
     /// A cache over `node_count` source shards holding at most
-    /// `per_src_capacity` destinations each (`0` disables caching).
-    /// Empty shards allocate nothing.
+    /// `per_src_capacity` (≥ 1) destinations each. Empty shards
+    /// allocate nothing.
     pub fn new(node_count: usize, per_src_capacity: usize) -> Self {
-        let shards = if per_src_capacity == 0 {
-            Vec::new()
-        } else {
-            (0..node_count).map(|_| Shard::default()).collect()
-        };
+        debug_assert!(per_src_capacity >= 1, "route cache capacity must be ≥ 1");
         RouteCache {
-            shards,
+            shards: (0..node_count).map(|_| Shard::default()).collect(),
             capacity: per_src_capacity,
         }
     }
@@ -132,9 +125,6 @@ impl RouteCache {
         dst: NodeId,
         resolve: impl FnOnce() -> Option<Arc<[NodeId]>>,
     ) -> Option<Arc<[NodeId]>> {
-        if self.capacity == 0 {
-            return resolve();
-        }
         let shard = &mut self.shards[src.index()];
         let key = (u64::from(epoch) << 32) | u64::from(dst.0);
         shard.stamp += 1;
@@ -172,17 +162,19 @@ impl RouteCache {
         path
     }
 
-    /// Export the cache's complete state for checkpointing. The output
-    /// is canonical (a pure function of the query sequence, never of
-    /// hasher order): live entries are recovered by walking the
-    /// lazy-deletion queue and point-looking-up each record — every
-    /// live entry's latest-stamp record is in the queue by invariant
-    /// (inserts and hits push one; compaction retains exactly the live
-    /// records) — so entries come out in LRU order without iterating
-    /// the `HashMap`.
-    pub fn export_state(&self) -> RouteCacheState {
-        let shards = self
-            .shards
+    /// Export the cache's complete state for checkpointing, one entry
+    /// per source shard. The output is canonical (a pure function of
+    /// the query sequence, never of hasher order): live entries are
+    /// recovered by walking the lazy-deletion queue and
+    /// point-looking-up each record — every live entry's latest-stamp
+    /// record is in the queue by invariant (inserts and hits push one;
+    /// compaction retains exactly the live records) — so entries come
+    /// out in LRU order without iterating the `HashMap`. Continuing
+    /// from `RouteCache::from_state(&c.export_state(), capacity)`
+    /// behaves identically to continuing from `c` for every future
+    /// query sequence.
+    pub fn export_state(&self) -> Vec<RouteCacheShardState> {
+        self.shards
             .iter()
             .map(|shard| {
                 let mut entries = Vec::with_capacity(shard.map.len());
@@ -203,29 +195,25 @@ impl RouteCache {
                     stamp: shard.stamp,
                 }
             })
-            .collect();
-        RouteCacheState {
-            capacity: self.capacity as u64,
-            shards,
-        }
+            .collect()
     }
 
-    /// Rebuild a cache from an exported state. The input may come from
-    /// a snapshot file, so it is validated structurally; inconsistent
-    /// states yield [`MassfError::SnapshotCorrupt`] instead of
-    /// panicking or silently diverging later.
-    pub fn from_state(state: &RouteCacheState) -> Result<RouteCache, MassfError> {
+    /// Rebuild a cache of per-source capacity `per_src_capacity` (≥ 1)
+    /// from exported shards. The input may come from a snapshot file,
+    /// so it is validated structurally; inconsistent states yield
+    /// [`MassfError::SnapshotCorrupt`] instead of panicking or silently
+    /// diverging later.
+    pub fn from_state(
+        state: &[RouteCacheShardState],
+        per_src_capacity: usize,
+    ) -> Result<RouteCache, MassfError> {
+        debug_assert!(per_src_capacity >= 1, "route cache capacity must be ≥ 1");
         let bad = |reason: String| MassfError::SnapshotCorrupt {
             section: "route-cache".into(),
             reason,
         };
-        let capacity =
-            usize::try_from(state.capacity).map_err(|_| bad("capacity exceeds usize".into()))?;
-        if capacity == 0 && !state.shards.is_empty() {
-            return Err(bad("disabled cache must have no shards".into()));
-        }
-        let mut shards = Vec::with_capacity(state.shards.len());
-        for (i, s) in state.shards.iter().enumerate() {
+        let mut shards = Vec::with_capacity(state.len());
+        for (i, s) in state.iter().enumerate() {
             let mut map = HashMap::with_capacity(s.entries.len());
             for e in &s.entries {
                 if e.stamp > s.stamp {
@@ -247,9 +235,9 @@ impl RouteCache {
                     return Err(bad(format!("shard {i}: duplicate key {:#x}", e.key)));
                 }
             }
-            if map.len() > capacity {
+            if map.len() > per_src_capacity {
                 return Err(bad(format!(
-                    "shard {i}: {} live entries exceed capacity {capacity}",
+                    "shard {i}: {} live entries exceed capacity {per_src_capacity}",
                     map.len()
                 )));
             }
@@ -282,12 +270,15 @@ impl RouteCache {
                 stamp: s.stamp,
             });
         }
-        Ok(RouteCache { shards, capacity })
+        Ok(RouteCache {
+            shards,
+            capacity: per_src_capacity,
+        })
     }
 }
 
-/// One live cache entry in an exported [`RouteCacheState`]; `path` is
-/// `None` for cached-negative entries.
+/// One live cache entry in an exported [`RouteCacheShardState`];
+/// `path` is `None` for cached-negative entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteCacheEntryState {
     /// `(epoch << 32) | dst` lookup key.
@@ -298,7 +289,8 @@ pub struct RouteCacheEntryState {
     pub path: Option<Vec<NodeId>>,
 }
 
-/// One shard of an exported [`RouteCacheState`].
+/// The complete, canonical state of one source shard of a
+/// [`RouteCache`] (see [`RouteCache::export_state`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteCacheShardState {
     /// Live entries in LRU (ascending-stamp) order.
@@ -310,104 +302,54 @@ pub struct RouteCacheShardState {
     pub stamp: u64,
 }
 
-/// The complete, canonical state of a [`RouteCache`]: continuing from
-/// `RouteCache::from_state(&c.export_state())` behaves identically to
-/// continuing from `c` for every future query sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteCacheState {
-    /// Per-source capacity the cache was built with (0 = disabled).
-    pub capacity: u64,
-    /// One state per source shard (empty when disabled).
-    pub shards: Vec<RouteCacheShardState>,
-}
-
-/// A [`PathResolver`] wrapper memoizing its inner resolver through a
-/// [`RouteCache`] (epoch 0 only — for epoch-aware simulation runs the
-/// netsim world drives a `RouteCache` directly; this wrapper serves
-/// standalone consumers such as benches and property tests).
-pub struct CachedResolver<R> {
-    inner: R,
-    cache: Mutex<(RouteCache, RouteCacheStats)>,
-}
-
-impl<R: PathResolver> CachedResolver<R> {
-    /// Wrap `inner`, caching up to `per_src_capacity` destinations per
-    /// source over `node_count` sources (`0` disables caching).
-    pub fn new(inner: R, node_count: usize, per_src_capacity: usize) -> Self {
-        CachedResolver {
-            inner,
-            cache: Mutex::new((
-                RouteCache::new(node_count, per_src_capacity),
-                RouteCacheStats::default(),
-            )),
-        }
-    }
-
-    /// The wrapped resolver.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> RouteCacheStats {
-        self.cache.lock().1
-    }
-}
-
-impl<R: PathResolver> PathResolver for CachedResolver<R> {
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.route_arc(src, dst).map(|p| p.to_vec())
-    }
-
-    fn route_arc(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
-        let guard = &mut *self.cache.lock();
-        let (cache, stats) = guard;
-        cache.get_or_insert_with(stats, 0, src, dst, || self.inner.route_arc(src, dst))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A resolver that returns `src → dst` for even dst ids, `None` for
-    /// odd, counting invocations.
-    struct Toy {
-        calls: std::sync::atomic::AtomicU64,
-    }
-
-    impl Toy {
-        fn new() -> Self {
-            Toy {
-                calls: std::sync::atomic::AtomicU64::new(0),
-            }
-        }
-        fn calls(&self) -> u64 {
-            self.calls.load(std::sync::atomic::Ordering::Relaxed)
-        }
-    }
-
-    impl PathResolver for Toy {
-        fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-            self.calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            dst.0.is_multiple_of(2).then(|| vec![src, dst])
-        }
-    }
+    use std::cell::Cell;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
     }
 
+    /// A cache over 8 sources in front of a toy resolver that returns
+    /// `src → dst` for even dst ids and `None` for odd, counting its
+    /// invocations; queried at epoch 0, the way the netsim world
+    /// drives its cache.
+    struct Rig {
+        cache: RouteCache,
+        stats: RouteCacheStats,
+        calls: Cell<u64>,
+    }
+
+    impl Rig {
+        fn new(capacity: usize) -> Self {
+            Rig {
+                cache: RouteCache::new(8, capacity),
+                stats: RouteCacheStats::default(),
+                calls: Cell::new(0),
+            }
+        }
+
+        fn route(&mut self, src: u32, dst: u32) -> Option<Arc<[NodeId]>> {
+            let calls = &self.calls;
+            self.cache
+                .get_or_insert_with(&mut self.stats, 0, n(src), n(dst), || {
+                    calls.set(calls.get() + 1);
+                    dst.is_multiple_of(2)
+                        .then(|| Arc::from(vec![n(src), n(dst)]))
+                })
+        }
+    }
+
     #[test]
     fn hit_returns_same_arc_without_resolving() {
-        let r = CachedResolver::new(Toy::new(), 8, 4);
-        let a = r.route_arc(n(0), n(2)).expect("even dst routes");
-        let b = r.route_arc(n(0), n(2)).expect("even dst routes");
+        let mut r = Rig::new(4);
+        let a = r.route(0, 2).expect("even dst routes");
+        let b = r.route(0, 2).expect("even dst routes");
         assert!(Arc::ptr_eq(&a, &b), "hit must hand out the shared Arc");
-        assert_eq!(r.inner().calls(), 1);
+        assert_eq!(r.calls.get(), 1);
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 1,
                 misses: 1,
@@ -418,32 +360,22 @@ mod tests {
 
     #[test]
     fn negative_results_are_cached() {
-        let r = CachedResolver::new(Toy::new(), 8, 4);
-        assert_eq!(r.route_arc(n(0), n(3)), None);
-        assert_eq!(r.route_arc(n(0), n(3)), None);
-        assert_eq!(r.inner().calls(), 1, "None must be memoized too");
-        assert_eq!(r.stats().hits, 1);
-    }
-
-    #[test]
-    fn capacity_zero_disables_and_counts_nothing() {
-        let r = CachedResolver::new(Toy::new(), 8, 0);
-        for _ in 0..3 {
-            let _ = r.route_arc(n(0), n(2));
-        }
-        assert_eq!(r.inner().calls(), 3);
-        assert_eq!(r.stats(), RouteCacheStats::default());
+        let mut r = Rig::new(4);
+        assert_eq!(r.route(0, 3), None);
+        assert_eq!(r.route(0, 3), None);
+        assert_eq!(r.calls.get(), 1, "None must be memoized too");
+        assert_eq!(r.stats.hits, 1);
     }
 
     #[test]
     fn capacity_one_evicts_lru() {
-        let r = CachedResolver::new(Toy::new(), 8, 1);
-        let _ = r.route_arc(n(0), n(2)); // miss
-        let _ = r.route_arc(n(0), n(4)); // miss, evicts dst 2
-        let _ = r.route_arc(n(0), n(2)); // miss again
-        assert_eq!(r.inner().calls(), 3);
+        let mut r = Rig::new(1);
+        let _ = r.route(0, 2); // miss
+        let _ = r.route(0, 4); // miss, evicts dst 2
+        let _ = r.route(0, 2); // miss again
+        assert_eq!(r.calls.get(), 3);
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 0,
                 misses: 3,
@@ -454,14 +386,14 @@ mod tests {
 
     #[test]
     fn lru_respects_recency_not_insertion_order() {
-        let r = CachedResolver::new(Toy::new(), 8, 2);
-        let _ = r.route_arc(n(0), n(2)); // miss: {2}
-        let _ = r.route_arc(n(0), n(4)); // miss: {2, 4}
-        let _ = r.route_arc(n(0), n(2)); // hit — 2 is now most recent
-        let _ = r.route_arc(n(0), n(6)); // miss: evicts 4, not 2
-        let _ = r.route_arc(n(0), n(2)); // must still hit
+        let mut r = Rig::new(2);
+        let _ = r.route(0, 2); // miss: {2}
+        let _ = r.route(0, 4); // miss: {2, 4}
+        let _ = r.route(0, 2); // hit — 2 is now most recent
+        let _ = r.route(0, 6); // miss: evicts 4, not 2
+        let _ = r.route(0, 2); // must still hit
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 2,
                 misses: 3,
@@ -472,12 +404,12 @@ mod tests {
 
     #[test]
     fn shards_are_independent_per_source() {
-        let r = CachedResolver::new(Toy::new(), 8, 1);
-        let _ = r.route_arc(n(0), n(2));
-        let _ = r.route_arc(n(1), n(2)); // different shard: own miss
-        let _ = r.route_arc(n(0), n(2)); // still cached in shard 0
+        let mut r = Rig::new(1);
+        let _ = r.route(0, 2);
+        let _ = r.route(1, 2); // different shard: own miss
+        let _ = r.route(0, 2); // still cached in shard 0
         assert_eq!(
-            r.stats(),
+            r.stats,
             RouteCacheStats {
                 hits: 1,
                 misses: 2,
@@ -500,12 +432,11 @@ mod tests {
 
     #[test]
     fn heavy_hit_traffic_keeps_queue_bounded() {
-        let r = CachedResolver::new(Toy::new(), 2, 2);
+        let mut r = Rig::new(2);
         for _ in 0..10_000 {
-            let _ = r.route_arc(n(0), n(2));
+            let _ = r.route(0, 2);
         }
-        let guard = r.cache.lock();
-        let shard = &guard.0.shards[0];
+        let shard = &r.cache.shards[0];
         assert!(
             shard.queue.len() <= 64 + 1,
             "lazy-deletion queue must stay bounded, got {}",
@@ -524,7 +455,7 @@ mod tests {
         let _ = cache.get_or_insert_with(&mut stats, 1, n(3), n(6), resolve(6));
 
         let state = cache.export_state();
-        let mut restored = RouteCache::from_state(&state).expect("valid state");
+        let mut restored = RouteCache::from_state(&state, 2).expect("valid state");
         assert_eq!(
             restored.export_state(),
             state,
@@ -548,33 +479,35 @@ mod tests {
     fn corrupt_cache_states_are_rejected() {
         let mut cache = RouteCache::new(2, 2);
         let mut stats = RouteCacheStats::default();
-        let _ = cache.get_or_insert_with(&mut stats, 0, n(0), n(1), || Some(Arc::from(vec![n(0)])));
+        for d in [0, 1] {
+            let _ =
+                cache.get_or_insert_with(&mut stats, 0, n(0), n(d), || Some(Arc::from(vec![n(0)])));
+        }
         let good = cache.export_state();
+        assert!(RouteCache::from_state(&good, 2).is_ok());
 
         let mut bad = good.clone();
-        bad.shards[0].stamp = 0; // entry stamp now exceeds shard stamp
+        bad[0].stamp = 0; // entry stamps now exceed the shard stamp
         assert!(matches!(
-            RouteCache::from_state(&bad),
+            RouteCache::from_state(&bad, 2),
             Err(MassfError::SnapshotCorrupt { .. })
         ));
 
         let mut bad = good.clone();
-        let dup = bad.shards[0].entries[0].clone();
-        bad.shards[0].entries.push(dup);
-        assert!(RouteCache::from_state(&bad).is_err(), "duplicate key");
+        let dup = bad[0].entries[0].clone();
+        bad[0].entries.push(dup);
+        assert!(RouteCache::from_state(&bad, 2).is_err(), "duplicate key");
 
         let mut bad = good.clone();
-        bad.shards[0].queue.clear();
+        bad[0].queue.clear();
         assert!(
-            RouteCache::from_state(&bad).is_err(),
+            RouteCache::from_state(&bad, 2).is_err(),
             "live entry must be queued"
         );
 
-        let mut bad = good;
-        bad.capacity = 0;
         assert!(
-            RouteCache::from_state(&bad).is_err(),
-            "disabled cache cannot carry shards"
+            RouteCache::from_state(&good, 1).is_err(),
+            "two live entries exceed capacity 1"
         );
     }
 

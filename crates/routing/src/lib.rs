@@ -35,10 +35,7 @@ pub mod policy;
 pub mod resolver;
 
 pub use bgp::{BgpRib, BgpRoute};
-pub use cache::{
-    CachedResolver, RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheState,
-    RouteCacheStats,
-};
+pub use cache::{RouteCache, RouteCacheEntryState, RouteCacheShardState, RouteCacheStats};
 pub use dynamics::{beacon_schedule, BeaconSim, Convergence};
 pub use massf_topology::MassfError;
 pub use ospf::{CostMetric, OspfDomain};

@@ -109,29 +109,81 @@ fn seeded_field_addition_to_world_state_fails_the_gate() {
     assert!(v.message.contains("both the encode"), "{}", v.message);
 }
 
+/// Run `git` in `root` with a fixed identity and signing off, so the
+/// test needs no user or system git configuration.
+fn git(root: &Path, args: &[&str]) {
+    let status = std::process::Command::new("git")
+        .arg("-C")
+        .arg(root)
+        .args(["-c", "user.name=simlint-test"])
+        .args(["-c", "user.email=simlint-test@localhost"])
+        .args(["-c", "commit.gpgsign=false"])
+        .args(args)
+        .status()
+        // simlint: allow(unwrap-audit) -- test helper: abort with the command on spawn failure
+        .unwrap_or_else(|e| panic!("cannot run git {args:?}: {e}"));
+    assert!(status.success(), "git {args:?} failed: {status}");
+}
+
 /// `--changed-since` narrows the per-file rules to the changed set but
-/// still runs the cross-file drift pass over everything.
+/// still runs the cross-file drift pass over everything. The workspace
+/// is a repository of its own, so the test does not depend on how (or
+/// whether) the enclosing checkout is under git.
 #[test]
 fn changed_since_scans_a_subset_of_the_workspace() {
-    let mut full = Options::new(repo_root());
-    full.baseline_path = Some(PathBuf::from("simlint-baseline.txt"));
-    let all = run(&full).expect("full scan succeeds");
+    let ws = TempWorkspace::new("changed-since");
+    ws.write(
+        "crates/engine/src/lib.rs",
+        "pub fn total(v: &[u64]) -> u64 { v.iter().sum() }\n",
+    );
+    // A `WorldState` field the codec never mentions: a D6 violation in
+    // a file the change below leaves alone.
+    ws.write(
+        "crates/netsim/src/world.rs",
+        "pub struct WorldState {\n    pub kept: u64,\n    pub dropped: u64,\n}\n",
+    );
+    ws.write(
+        "crates/snapshot/src/codec.rs",
+        "pub fn put_world_state(w: &mut Vec<u64>, s: &WorldState) {\n    w.push(s.kept);\n}\n\
+         pub fn get_world_state(r: &mut Vec<u64>) -> WorldState {\n    \
+         WorldState { kept: r.pop().unwrap_or(0) }\n}\n",
+    );
+    git(&ws.root, &["init", "-q"]);
+    git(&ws.root, &["add", "-A"]);
+    git(&ws.root, &["commit", "-q", "-m", "fixture"]);
+    // The one change since HEAD: a hash-order iteration (D1).
+    ws.write(
+        "crates/engine/src/lib.rs",
+        "use std::collections::HashMap;\n\
+         pub fn total(m: &HashMap<u32, u64>) -> u64 { m.values().sum() }\n",
+    );
 
-    let mut incremental = Options::new(repo_root());
-    incremental.baseline_path = Some(PathBuf::from("simlint-baseline.txt"));
+    let full = run(&Options::new(&ws.root)).expect("full scan succeeds");
+    let mut incremental = Options::new(&ws.root);
     incremental.changed_since = Some("HEAD".to_string());
     let subset = run(&incremental).expect("incremental scan succeeds");
-    assert!(
-        subset.files <= all.files,
-        "changed-since scanned {} of {} files",
-        subset.files,
-        all.files
-    );
-    assert_eq!(subset.exit_code(), 0, "{:?}", subset.violations);
+    assert_eq!((subset.files, full.files), (1, 3), "files scanned");
+    let found = |o: &massf_simlint::Outcome| -> Vec<(Rule, String)> {
+        o.violations
+            .iter()
+            .map(|v| (v.rule, v.path.clone()))
+            .collect()
+    };
+    let expected = vec![
+        (Rule::HashIteration, "crates/engine/src/lib.rs".to_string()),
+        (
+            Rule::SnapshotDrift,
+            "crates/netsim/src/world.rs".to_string(),
+        ),
+    ];
+    assert_eq!(found(&full), expected);
+    assert_eq!(found(&subset), expected, "D1 in the change, D6 everywhere");
 
     // --update-baseline refuses to run from a partial view.
+    incremental.baseline_path = Some(PathBuf::from("simlint-baseline.txt"));
     incremental.update_baseline = true;
     assert!(run(&incremental).is_err());
+    assert!(!ws.root.join("simlint-baseline.txt").exists());
 }
 
 /// The acceptance criterion from the issue: introducing a HashMap

@@ -18,8 +18,9 @@
 //!
 //! Snapshots are bound to their scenario by a fingerprint
 //! ([`scenario_fingerprint`]) over the topology, fault script, initial
-//! events, and tuning knobs; restoring a snapshot against a different
-//! scenario is refused up front instead of silently diverging.
+//! events, and TCP retry budget; restoring a snapshot against a
+//! different scenario is refused up front instead of silently
+//! diverging.
 
 use crate::codec;
 use crate::format::{
@@ -55,14 +56,13 @@ pub enum ExecMode {
 }
 
 /// Deterministic digest binding a snapshot to its scenario: topology
-/// shape and link constants, fault script, initial events, route-cache
-/// capacity, and TCP retry budget. Two runs with equal fingerprints and
-/// equal snapshots are continuations of the same simulation; a loader
-/// seeing a different fingerprint refuses the restore.
+/// shape and link constants, fault script, initial events, and TCP
+/// retry budget. Two runs with equal fingerprints and equal snapshots
+/// are continuations of the same simulation; a loader seeing a
+/// different fingerprint refuses the restore.
 pub fn scenario_fingerprint(
     shared: &SharedNet,
     initial: &[(SimTime, LpId, NetEvent)],
-    route_cache_capacity: usize,
     max_retries: u32,
 ) -> u64 {
     let mut w = ByteWriter::new();
@@ -92,7 +92,6 @@ pub fn scenario_fingerprint(
         w.put_u32(lp.0);
         codec::put_net_event(&mut w, ev);
     }
-    w.put_count(route_cache_capacity);
     w.put_u32(max_retries);
     fnv1a64(&w.into_inner())
 }
@@ -132,21 +131,21 @@ impl std::fmt::Debug for Session {
 impl Session {
     /// A session at virtual time zero, seeded with `initial` events
     /// (pass `NetSimBuilder::initial_events()` to match a builder-driven
-    /// run exactly — that list already includes scripted fault events).
+    /// run exactly — that list already includes scripted fault events)
+    /// and giving every TCP flow a budget of `max_retries` consecutive
+    /// timeouts ([`massf_netsim::MAX_RETRIES`] matches the builder's
+    /// default).
     pub fn new(
         shared: Arc<SharedNet>,
         initial: Vec<(SimTime, LpId, NetEvent)>,
-        route_cache_capacity: usize,
         max_retries: u32,
     ) -> Self {
         let lp_count = shared.lp_count();
-        let fingerprint =
-            scenario_fingerprint(&shared, &initial, route_cache_capacity, max_retries);
+        let fingerprint = scenario_fingerprint(&shared, &initial, max_retries);
         // simlint: allow(cast-lossy) -- 2^32 initial events is far past any supported scale
         let next_external = initial.len() as u32;
         let resume = ResumeState::seeded(initial, lp_count);
-        let world = NetWorld::with_config(shared.clone(), NoApp, route_cache_capacity, max_retries)
-            .export_state();
+        let world = NetWorld::with_max_retries(shared.clone(), NoApp, max_retries).export_state();
         Session {
             shared,
             fingerprint,
@@ -191,12 +190,17 @@ impl Session {
         // The executors consume their start state; run on a copy so an
         // error leaves the session as it was.
         let resume = self.resume.clone();
-        let prefix_profile = self.world.profile.clone();
-        let (stats, frontier, mut world) = match mode {
+        let (stats, frontier) = match mode {
             ExecMode::Sequential => {
                 let mut w = NetWorld::restore(self.shared.clone(), NoApp, &self.world)?;
                 let (stats, frontier) = run_sequential(&mut w, resume, end, None)?;
-                (stats, frontier, w.export_state())
+                // The restored world started with a zeroed profile; fold
+                // the prefix counters back in so the session's profile
+                // stays cumulative.
+                let mut world = w.export_state();
+                world.profile.merge(&self.world.profile);
+                self.world = world;
+                (stats, frontier)
             }
             ExecMode::Parallel { assignment, window } => {
                 // One shard per partition id up to the highest assigned.
@@ -209,17 +213,7 @@ impl Session {
                         self.shared.lp_count()
                     )));
                 }
-                let shards = (0..=top)
-                    .map(|p| {
-                        NetWorld::restore_partition(
-                            self.shared.clone(),
-                            NoApp,
-                            &self.world,
-                            assignment,
-                            p,
-                        )
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                let shards = self.restore_shards(assignment, top + 1)?;
                 let (shards, stats, frontier) = run_parallel(
                     shards,
                     assignment,
@@ -228,24 +222,49 @@ impl Session {
                     *window,
                     &NoopBarrierObserver,
                 )?;
-                let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
-                (
-                    stats,
-                    frontier,
-                    WorldState::merge_partitions(&parts, assignment)?,
-                )
+                self.flush_shards(&shards, assignment)?;
+                (stats, frontier)
             }
         };
-        // Restored worlds start with zeroed profiles; fold the prefix
-        // counters back in so the session's profile stays cumulative.
-        world.profile.merge(&prefix_profile);
-        self.world = world;
         self.resume = frontier;
         self.now = end;
         self.total_events += stats.total_events;
         for (acc, n) in self.lp_events.iter_mut().zip(&stats.lp_events) {
             *acc += n;
         }
+        Ok(())
+    }
+
+    /// One partition world per id in `0..partitions`, each restored
+    /// from the canonical world state with only what it owns under
+    /// `assignment` (see `NetWorld::restore_partition`).
+    pub(crate) fn restore_shards(
+        &self,
+        assignment: &[u32],
+        partitions: u32,
+    ) -> Result<Vec<NetWorld<NoApp>>, MassfError> {
+        (0..partitions)
+            .map(|p| {
+                NetWorld::restore_partition(self.shared.clone(), NoApp, &self.world, assignment, p)
+            })
+            .collect()
+    }
+
+    /// Export partition worlds restored by [`Session::restore_shards`]
+    /// and merge them, under the assignment they were restored with,
+    /// into the session's canonical world state. Restored worlds start
+    /// with zeroed profiles, so the canonical state's profile — the
+    /// prefix at restore time — is folded back in to keep the session's
+    /// profile cumulative. On error the session is left untouched.
+    pub(crate) fn flush_shards(
+        &mut self,
+        shards: &[NetWorld<NoApp>],
+        assignment: &[u32],
+    ) -> Result<(), MassfError> {
+        let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
+        let mut world = WorldState::merge_partitions(&parts, assignment)?;
+        world.profile.merge(&self.world.profile);
+        self.world = world;
         Ok(())
     }
 

@@ -12,14 +12,14 @@
 //! Determinism: every encoder walks plain `Vec`s in index order — no
 //! hash-map iteration anywhere (D1-clean), no clocks, no entropy.
 
-use crate::rebalance::{RebalancePolicy, RebalanceSessionState};
+use crate::rebalance::RebalanceSessionState;
 use crate::wire::{ByteReader, ByteWriter};
 use massf_engine::{EventRecord, LpId, RebalanceConfig, RebalanceCounters, ResumeState, SimTime};
 use massf_netsim::{
     FaultKind, FlowEntryState, FlowId, FluidFlowEntryState, FluidStats, FluidWorldState, NetEvent,
     Packet, PacketKind, ProfileData, ReceiverEntryState, TcpSenderState, WorldState,
 };
-use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheState, RouteCacheStats};
+use massf_routing::{RouteCacheEntryState, RouteCacheShardState, RouteCacheStats};
 use massf_topology::{LinkId, MassfError, NodeId};
 
 fn put_time(w: &mut ByteWriter, t: SimTime) {
@@ -442,10 +442,9 @@ fn get_receiver_entry(r: &mut ByteReader) -> Result<ReceiverEntryState, MassfErr
     })
 }
 
-pub fn put_route_cache(w: &mut ByteWriter, c: &RouteCacheState) {
-    w.put_u64(c.capacity);
-    w.put_count(c.shards.len());
-    for shard in &c.shards {
+pub fn put_route_cache(w: &mut ByteWriter, shards: &[RouteCacheShardState]) {
+    w.put_count(shards.len());
+    for shard in shards {
         put_shard(w, shard);
     }
 }
@@ -471,15 +470,14 @@ fn put_shard(w: &mut ByteWriter, s: &RouteCacheShardState) {
     w.put_u64(s.stamp);
 }
 
-pub fn get_route_cache(r: &mut ByteReader) -> Result<RouteCacheState, MassfError> {
-    let capacity = r.get_u64()?;
+pub fn get_route_cache(r: &mut ByteReader) -> Result<Vec<RouteCacheShardState>, MassfError> {
     // A shard is at least 24 bytes (two counts + stamp).
     let n = r.get_count(24)?;
     let mut shards = Vec::with_capacity(n);
     for _ in 0..n {
         shards.push(get_shard(r)?);
     }
-    Ok(RouteCacheState { capacity, shards })
+    Ok(shards)
 }
 
 fn get_shard(r: &mut ByteReader) -> Result<RouteCacheShardState, MassfError> {
@@ -695,13 +693,10 @@ pub fn get_world_state(r: &mut ByteReader) -> Result<WorldState, MassfError> {
 }
 
 pub fn put_rebalance_state(w: &mut ByteWriter, s: &RebalanceSessionState) {
-    let policy = &s.policy;
-    let cfg = &policy.cfg;
+    let cfg = &s.cfg;
     put_time(w, cfg.epoch);
     w.put_u64(cfg.threshold_permille);
     w.put_count(cfg.max_moves);
-    w.put_u64(policy.load_weight);
-    w.put_u64(policy.cut_weight);
     w.put_u32(s.partitions);
     put_u32s(w, &s.assignment);
     put_u64s(w, &s.epoch_loads);
@@ -718,8 +713,6 @@ pub fn get_rebalance_state(r: &mut ByteReader) -> Result<RebalanceSessionState, 
     // fits-in-remaining heuristic does not apply.
     let max_moves = usize::try_from(r.get_u64()?)
         .map_err(|_| r.corrupt("rebalance max_moves exceeds usize"))?;
-    let load_weight = r.get_u64()?;
-    let cut_weight = r.get_u64()?;
     let partitions = r.get_u32()?;
     let assignment = get_u32s(r)?;
     let epoch_loads = get_u64s(r)?;
@@ -727,14 +720,10 @@ pub fn get_rebalance_state(r: &mut ByteReader) -> Result<RebalanceSessionState, 
     let rebalances = r.get_u64()?;
     let migrations = r.get_u64()?;
     Ok(RebalanceSessionState {
-        policy: RebalancePolicy {
-            cfg: RebalanceConfig {
-                epoch,
-                threshold_permille,
-                max_moves,
-            },
-            load_weight,
-            cut_weight,
+        cfg: RebalanceConfig {
+            epoch,
+            threshold_permille,
+            max_moves,
         },
         partitions,
         assignment,

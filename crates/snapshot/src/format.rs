@@ -40,7 +40,7 @@ pub const MAGIC: [u8; 8] = *b"MASSFSNP";
 /// Current snapshot format version. Bump on any wire-format change;
 /// readers reject other versions with a structured error rather than
 /// guessing.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Session metadata: fingerprint, virtual time, external-tag cursor.
 pub const SECTION_META: u32 = 1;
@@ -50,7 +50,7 @@ pub const SECTION_ENGINE: u32 = 2;
 pub const SECTION_WORLD: u32 = 3;
 /// Cumulative execution statistics (per-LP and total event counts).
 pub const SECTION_STATS: u32 = 4;
-/// Online-rebalancer state (policy, live assignment, partial-epoch
+/// Online-rebalancer state (config, live assignment, partial-epoch
 /// loads). Present only in snapshots of rebalancing sessions.
 pub const SECTION_REBALANCE: u32 = 5;
 

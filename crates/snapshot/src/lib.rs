@@ -39,7 +39,5 @@ pub use checkpoint::{scenario_fingerprint, ExecMode, Session};
 pub use format::{
     decode_container, encode_container, read_file, write_atomic, Section, FORMAT_VERSION, MAGIC,
 };
-pub use rebalance::{
-    rebalancing_fingerprint, RebalanceOutcome, RebalancePolicy, RebalanceSessionState,
-};
+pub use rebalance::{rebalancing_fingerprint, RebalanceOutcome, RebalanceSessionState};
 pub use recovery::{recover_latest, RecoveryReport};

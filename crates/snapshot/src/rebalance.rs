@@ -23,7 +23,7 @@
 //!    starts. The barrier window is recomputed from the new cut's MLL.
 //!
 //! **Determinism.** Every input to steps 1–3 (event counts, topology,
-//! assignment, policy) is identical on every host and thread count, so
+//! assignment, config) is identical on every host and thread count, so
 //! the decision trajectory — and therefore the simulation output — is
 //! bit-identical to a sequential run at any cadence, threshold, or
 //! partition count (proptest-pinned in `tests/tests/rebalance.rs`).
@@ -37,57 +37,20 @@ use massf_engine::{
     imbalance_permille, partition_loads, run_parallel, should_rebalance, LpId, NoopBarrierObserver,
     RebalanceConfig, RebalanceCounters, ResumeState, SimTime,
 };
-use massf_netsim::{NetEvent, NetWorld, NoApp, ProfileData, SharedNet, WorldState};
+use massf_netsim::{NetEvent, NetWorld, NoApp, SharedNet};
 use massf_partition::{apply_moves, rebalance, RebalanceParams, WeightedGraph};
 use massf_topology::MassfError;
 use std::sync::Arc;
-
-/// Everything that parameterizes the online rebalancer: the engine-side
-/// decision function plus the partition-side cost weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalancePolicy {
-    /// Epoch cadence, trigger threshold, per-epoch migration budget.
-    pub cfg: RebalanceConfig,
-    /// Weight of the load-imbalance term in the move search.
-    pub load_weight: u64,
-    /// Weight of the edge-cut term in the move search.
-    pub cut_weight: u64,
-}
-
-impl Default for RebalancePolicy {
-    fn default() -> Self {
-        let params = RebalanceParams::default();
-        RebalancePolicy {
-            cfg: RebalanceConfig::default(),
-            load_weight: params.load_weight,
-            cut_weight: params.cut_weight,
-        }
-    }
-}
-
-impl RebalancePolicy {
-    /// Structural validation (configs arrive from CLI flags and
-    /// snapshot files).
-    pub fn validate(&self) -> Result<(), MassfError> {
-        self.cfg.validate()
-    }
-
-    fn params(&self) -> RebalanceParams {
-        RebalanceParams {
-            max_moves: self.cfg.max_moves,
-            load_weight: self.load_weight,
-            cut_weight: self.cut_weight,
-        }
-    }
-}
 
 /// The rebalancer's live state, carried inside rebalancing sessions and
 /// their checkpoints: without it a restored run could not replay the
 /// same decision trajectory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebalanceSessionState {
-    /// The (fingerprint-bound) policy.
-    pub policy: RebalancePolicy,
+    /// Epoch cadence, trigger threshold and per-epoch migration budget
+    /// (fingerprint-bound). The move search's cost weights are
+    /// [`RebalanceParams`]' defaults.
+    pub cfg: RebalanceConfig,
     /// Partition count (fixed for the session; migration moves LPs
     /// between existing partitions, it never grows the set).
     pub partitions: u32,
@@ -105,7 +68,7 @@ impl RebalanceSessionState {
     /// Structural validation against `lp_count` (snapshot bytes are
     /// untrusted input).
     pub fn validate(&self, lp_count: usize) -> Result<(), MassfError> {
-        self.policy.validate()?;
+        self.cfg.validate()?;
         if self.partitions == 0 {
             return Err(MassfError::InvalidConfig(
                 "rebalance state has zero partitions".into(),
@@ -134,18 +97,16 @@ impl RebalanceSessionState {
 }
 
 /// Fingerprint of a rebalancing scenario: the base
-/// [`crate::scenario_fingerprint`] mixed with the policy and the
-/// initial assignment. Rebalancing alters the *trajectory* of a session
-/// (which assignment is live when), so a rebalancing snapshot must
-/// never restore into a plain session or one with different knobs.
-pub fn rebalancing_fingerprint(base: u64, policy: &RebalancePolicy, assignment: &[u32]) -> u64 {
+/// [`crate::scenario_fingerprint`] mixed with the rebalancer config and
+/// the initial assignment. Rebalancing alters the *trajectory* of a
+/// session (which assignment is live when), so a rebalancing snapshot
+/// must never restore into a plain session or one with different knobs.
+pub fn rebalancing_fingerprint(base: u64, cfg: &RebalanceConfig, assignment: &[u32]) -> u64 {
     let mut w = ByteWriter::new();
     w.put_u64(base);
-    w.put_u64(policy.cfg.epoch.as_ns());
-    w.put_u64(policy.cfg.threshold_permille);
-    w.put_count(policy.cfg.max_moves);
-    w.put_u64(policy.load_weight);
-    w.put_u64(policy.cut_weight);
+    w.put_u64(cfg.epoch.as_ns());
+    w.put_u64(cfg.threshold_permille);
+    w.put_count(cfg.max_moves);
     w.put_count(assignment.len());
     for &p in assignment {
         w.put_u32(p);
@@ -216,17 +177,16 @@ impl Session {
     /// A session at virtual time zero that rebalances online: it starts
     /// on `assignment` (LP → partition, e.g. an HPROF mapping) and
     /// migrates LPs whenever an epoch's measured load imbalance exceeds
-    /// the policy threshold. The fingerprint binds the policy and the
-    /// initial assignment on top of the base scenario.
+    /// `cfg`'s threshold. The fingerprint binds `cfg` and the initial
+    /// assignment on top of the base scenario ([`Session::new`]).
     pub fn new_rebalancing(
         shared: Arc<SharedNet>,
         initial: Vec<(SimTime, LpId, NetEvent)>,
-        route_cache_capacity: usize,
         max_retries: u32,
-        policy: RebalancePolicy,
+        cfg: RebalanceConfig,
         assignment: Vec<u32>,
     ) -> Result<Session, MassfError> {
-        policy.validate()?;
+        cfg.validate()?;
         let lp_count = shared.lp_count();
         if assignment.len() != lp_count {
             return Err(MassfError::InvalidConfig(format!(
@@ -235,10 +195,10 @@ impl Session {
             )));
         }
         let partitions = assignment.iter().copied().max().map_or(1, |m| m + 1);
-        let mut session = Session::new(shared, initial, route_cache_capacity, max_retries);
-        session.fingerprint = rebalancing_fingerprint(session.fingerprint, &policy, &assignment);
+        let mut session = Session::new(shared, initial, max_retries);
+        session.fingerprint = rebalancing_fingerprint(session.fingerprint, &cfg, &assignment);
         session.rebalance = Some(RebalanceSessionState {
-            policy,
+            cfg,
             partitions,
             assignment,
             epoch_loads: vec![0; lp_count],
@@ -284,21 +244,21 @@ impl Session {
         let lp_count = self.shared.lp_count();
         let partitions = rb.partitions as usize;
         let graph = conflict_graph(&self.shared);
-        let params = rb.policy.params();
+        let params = RebalanceParams {
+            max_moves: rb.cfg.max_moves,
+            ..RebalanceParams::default()
+        };
         let mut outcome = RebalanceOutcome::default();
         // Shards stay resident across epoch boundaries; they are flushed
         // into the canonical WorldState only when a migration rewrites
         // the assignment (export under the old map, merge, and let the
         // next segment restore under the new one) or when this call
-        // returns. `prefix_profile` tracks the cumulative profile at the
-        // moment the resident shards were last restored, since restored
-        // worlds start with zeroed profile counters.
+        // returns.
         let mut shards: Option<Vec<NetWorld<NoApp>>> = None;
-        let mut prefix_profile = self.world.profile.clone();
         let mut window = self.shared.safe_parallel_window(&rb.assignment);
 
         while self.now < end {
-            let boundary = rb.policy.cfg.next_boundary(self.now);
+            let boundary = rb.cfg.next_boundary(self.now);
             let seg_end = boundary.min(end);
             // End time is exclusive in the executors, so a frontier whose
             // head is at or past seg_end executes nothing: skip the
@@ -308,17 +268,7 @@ impl Session {
             if has_events {
                 let current = match shards.take() {
                     Some(s) => s,
-                    None => (0..rb.partitions)
-                        .map(|p| {
-                            NetWorld::restore_partition(
-                                self.shared.clone(),
-                                NoApp,
-                                &self.world,
-                                &rb.assignment,
-                                p,
-                            )
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
+                    None => self.restore_shards(&rb.assignment, rb.partitions)?,
                 };
                 let resume =
                     std::mem::replace(&mut self.resume, ResumeState::seeded(Vec::new(), lp_count));
@@ -358,7 +308,7 @@ impl Session {
                     .push(imbalance_permille(&loads));
                 outcome.max_load_sum += loads.iter().copied().max().unwrap_or(0);
                 outcome.total_load += loads.iter().sum::<u64>();
-                if should_rebalance(&rb.policy.cfg, &loads) {
+                if should_rebalance(&rb.cfg, &loads) {
                     let moves =
                         rebalance(&graph, partitions, &rb.assignment, &rb.epoch_loads, &params);
                     if !moves.is_empty() {
@@ -369,7 +319,7 @@ impl Session {
                         // pending events by assignment when the next
                         // segment starts.
                         if let Some(s) = shards.take() {
-                            self.flush_shards(s, &rb.assignment, &mut prefix_profile)?;
+                            self.flush_shards(&s, &rb.assignment)?;
                         }
                         apply_moves(&mut rb.assignment, &moves);
                         window = self.shared.safe_parallel_window(&rb.assignment);
@@ -384,26 +334,9 @@ impl Session {
         }
 
         if let Some(s) = shards.take() {
-            self.flush_shards(s, &rb.assignment, &mut prefix_profile)?;
+            self.flush_shards(&s, &rb.assignment)?;
         }
         Ok(outcome)
-    }
-
-    /// Export resident shards and merge them (under the assignment they
-    /// were restored with) into the session's canonical world state,
-    /// folding the pre-restore profile prefix back in.
-    fn flush_shards(
-        &mut self,
-        shards: Vec<NetWorld<NoApp>>,
-        assignment: &[u32],
-        prefix_profile: &mut ProfileData,
-    ) -> Result<(), MassfError> {
-        let parts: Vec<WorldState> = shards.iter().map(NetWorld::export_state).collect();
-        let mut world = WorldState::merge_partitions(&parts, assignment)?;
-        world.profile.merge(prefix_profile);
-        self.world = world;
-        *prefix_profile = self.world.profile.clone();
-        Ok(())
     }
 }
 
@@ -411,28 +344,27 @@ impl Session {
 mod tests {
     use super::*;
 
-    #[test]
-    fn policy_validation_delegates_to_config() {
-        assert!(RebalancePolicy::default().validate().is_ok());
-        let bad = RebalancePolicy {
-            cfg: RebalanceConfig {
-                epoch: SimTime::ZERO,
-                ..RebalanceConfig::default()
-            },
-            ..RebalancePolicy::default()
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn session_state_validation_rejects_shape_mismatches() {
-        let good = RebalanceSessionState {
-            policy: RebalancePolicy::default(),
+    fn session_state() -> RebalanceSessionState {
+        RebalanceSessionState {
+            cfg: RebalanceConfig::default(),
             partitions: 2,
             assignment: vec![0, 1, 0],
             epoch_loads: vec![0; 3],
             counters: RebalanceCounters::default(),
-        };
+        }
+    }
+
+    #[test]
+    fn policy_validation_delegates_to_config() {
+        assert!(session_state().validate(3).is_ok());
+        let mut bad = session_state();
+        bad.cfg.epoch = SimTime::ZERO;
+        assert!(bad.validate(3).is_err());
+    }
+
+    #[test]
+    fn session_state_validation_rejects_shape_mismatches() {
+        let good = session_state();
         assert!(good.validate(3).is_ok());
         assert!(good.validate(4).is_err());
         let mut bad = good.clone();
@@ -448,17 +380,17 @@ mod tests {
 
     #[test]
     fn fingerprint_binds_policy_and_assignment() {
-        let policy = RebalancePolicy::default();
+        let cfg = RebalanceConfig::default();
         let base = 0x1234_5678_9abc_def0;
-        let fp = rebalancing_fingerprint(base, &policy, &[0, 1, 0]);
+        let fp = rebalancing_fingerprint(base, &cfg, &[0, 1, 0]);
         assert_ne!(fp, base);
-        assert_ne!(fp, rebalancing_fingerprint(base, &policy, &[0, 1, 1]));
-        let other = RebalancePolicy {
-            cut_weight: policy.cut_weight + 1,
-            ..policy
+        assert_ne!(fp, rebalancing_fingerprint(base, &cfg, &[0, 1, 1]));
+        let other = RebalanceConfig {
+            max_moves: cfg.max_moves + 1,
+            ..cfg
         };
         assert_ne!(fp, rebalancing_fingerprint(base, &other, &[0, 1, 0]));
-        assert_eq!(fp, rebalancing_fingerprint(base, &policy, &[0, 1, 0]));
+        assert_eq!(fp, rebalancing_fingerprint(base, &cfg, &[0, 1, 0]));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Workspace gate: formatting, lints, static analysis, the test suite,
-# and the repository benchmark's build and self-tests (perfbench/ is its
-# own Cargo workspace, so the root `cargo test` never compiles it).
+# Workspace gate: formatting, lints, static analysis, rustdoc, the
+# test suite, and the repository benchmark's build and self-tests
+# (perfbench/ is its own Cargo workspace, so the root `cargo test`
+# never compiles it).
 # Run from anywhere; operates on the repository containing this script.
 #
 #   scripts/check.sh          full gate (including the release-mode
@@ -54,6 +55,10 @@ stage "simlint (determinism & safety static analysis)" \
 
 stage "cargo clippy (deny warnings + unwrap_used, whole workspace)" \
     cargo clippy --workspace --all-targets -- -D warnings -D clippy::unwrap_used
+
+# -D warnings: a doc link to a deleted or private item fails here.
+stage "cargo doc (deny warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 stage "cargo test" \
     cargo test -q

@@ -16,7 +16,7 @@
 use massf_engine::{run_sequential, NoopBarrierObserver, ResumeState, SimTime};
 use massf_netsim::{
     Agent, AppLogic, FaultScript, FaultState, FlowId, NetSimBuilder, NetWorld, NoApp, SharedNet,
-    SimApi, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, FLUID_CONTROL_DELAY, MAX_RETRIES,
+    SimApi, SimOutput, FLUID_CONTROL_DELAY, MAX_RETRIES,
 };
 use massf_routing::CostMetric;
 use massf_snapshot::{scenario_fingerprint, ExecMode, Session};
@@ -108,21 +108,11 @@ fn fluid_parity_cut(shared: &SharedNet, parts: u32) -> (Vec<u32>, SimTime) {
 }
 
 fn session_for(builder: &NetSimBuilder) -> Session {
-    Session::new(
-        builder.shared(),
-        builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
+    Session::new(builder.shared(), builder.initial_events(), MAX_RETRIES)
 }
 
 fn fingerprint_for(builder: &NetSimBuilder) -> u64 {
-    scenario_fingerprint(
-        &builder.shared(),
-        &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
+    scenario_fingerprint(&builder.shared(), &builder.initial_events(), MAX_RETRIES)
 }
 
 fn assert_matches_reference(session: &Session, reference: &SimOutput<NoApp>) {

@@ -12,12 +12,9 @@
 //!    on rebalancing sessions.
 
 use massf_engine::{RebalanceConfig, SimTime};
-use massf_netsim::{
-    Agent, FaultScript, FaultState, NetSimBuilder, NoApp, SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY,
-    MAX_RETRIES,
-};
+use massf_netsim::{Agent, FaultScript, FaultState, NetSimBuilder, NoApp, SimOutput, MAX_RETRIES};
 use massf_routing::CostMetric;
-use massf_snapshot::{rebalancing_fingerprint, RebalancePolicy, Session};
+use massf_snapshot::{rebalancing_fingerprint, Session};
 use massf_topology::{generate_flat_network, FlatTopologyConfig, MassfError};
 use proptest::prelude::*;
 
@@ -75,12 +72,11 @@ fn block_assignment(n: usize, parts: u32) -> Vec<u32> {
         .collect()
 }
 
-fn rebalancing_session(builder: &NetSimBuilder, policy: RebalancePolicy, parts: u32) -> Session {
+fn rebalancing_session(builder: &NetSimBuilder, policy: RebalanceConfig, parts: u32) -> Session {
     let assignment = block_assignment(builder.shared().lp_count(), parts);
     Session::new_rebalancing(
         builder.shared(),
         builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
         MAX_RETRIES,
         policy,
         assignment,
@@ -88,11 +84,10 @@ fn rebalancing_session(builder: &NetSimBuilder, policy: RebalancePolicy, parts: 
     .expect("valid policy and assignment")
 }
 
-fn session_fingerprint(builder: &NetSimBuilder, policy: &RebalancePolicy, parts: u32) -> u64 {
+fn session_fingerprint(builder: &NetSimBuilder, policy: &RebalanceConfig, parts: u32) -> u64 {
     let base = massf_snapshot::scenario_fingerprint(
         &builder.shared(),
         &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
         MAX_RETRIES,
     );
     let assignment = block_assignment(builder.shared().lp_count(), parts);
@@ -105,14 +100,11 @@ fn assert_matches_reference(session: &Session, reference: &SimOutput<NoApp>) {
     assert_eq!(session.profile(), &reference.profile);
 }
 
-fn policy(epoch_ms: u64, threshold: u64) -> RebalancePolicy {
-    RebalancePolicy {
-        cfg: RebalanceConfig {
-            epoch: SimTime::from_ms(epoch_ms),
-            threshold_permille: threshold,
-            max_moves: 24,
-        },
-        ..RebalancePolicy::default()
+fn policy(epoch_ms: u64, threshold: u64) -> RebalanceConfig {
+    RebalanceConfig {
+        epoch: SimTime::from_ms(epoch_ms),
+        threshold_permille: threshold,
+        max_moves: 24,
     }
 }
 
@@ -187,12 +179,7 @@ fn run_until_is_refused_on_rebalancing_sessions() {
         .expect_err("rebalancing sessions must advance via run_rebalancing");
     assert!(matches!(err, MassfError::InvalidConfig(_)), "{err}");
     // And the reverse: plain sessions refuse run_rebalancing.
-    let mut plain = Session::new(
-        builder.shared(),
-        builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    );
+    let mut plain = Session::new(builder.shared(), builder.initial_events(), MAX_RETRIES);
     let err = plain
         .run_rebalancing(SimTime::from_ms(100))
         .expect_err("plain sessions have no rebalance policy");

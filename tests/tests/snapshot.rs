@@ -13,7 +13,7 @@
 use massf_engine::{LpId, SimTime};
 use massf_netsim::{
     Agent, FaultKind, FaultScript, FaultState, NetEvent, NetSimBuilder, NoApp, SharedNet,
-    SimOutput, DEFAULT_ROUTE_CACHE_CAPACITY, MAX_RETRIES,
+    SimOutput, MAX_RETRIES,
 };
 use massf_routing::CostMetric;
 use massf_snapshot::{recover_latest, scenario_fingerprint, ExecMode, Session};
@@ -65,21 +65,11 @@ fn flap_scenario(seed: u64, flaps: usize, flows: usize) -> NetSimBuilder {
 }
 
 fn session_for(builder: &NetSimBuilder) -> Session {
-    Session::new(
-        builder.shared(),
-        builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
+    Session::new(builder.shared(), builder.initial_events(), MAX_RETRIES)
 }
 
 fn fingerprint_for(builder: &NetSimBuilder) -> u64 {
-    scenario_fingerprint(
-        &builder.shared(),
-        &builder.initial_events(),
-        DEFAULT_ROUTE_CACHE_CAPACITY,
-        MAX_RETRIES,
-    )
+    scenario_fingerprint(&builder.shared(), &builder.initial_events(), MAX_RETRIES)
 }
 
 /// Parity-cut assignment and its safe barrier window (the cut MLL).
